@@ -69,9 +69,7 @@ def fermionic_hamiltonian(active: ActiveSpaceIntegrals) -> FermionOperator:
         for q in range(n):
             coefficient = h1[p, q]
             if abs(coefficient) > 1e-12:
-                operator += FermionOperator.from_term(
-                    [(p, True), (q, False)], coefficient
-                )
+                operator._add_term(((p, True), (q, False)), coefficient)
     for p in range(n):
         for q in range(n):
             for r in range(n):
@@ -79,8 +77,8 @@ def fermionic_hamiltonian(active: ActiveSpaceIntegrals) -> FermionOperator:
                     coefficient = 0.5 * h2[p, q, r, s]
                     if abs(coefficient) > 1e-12:
                         # physicist ordering a_p+ a_q+ a_s a_r
-                        operator += FermionOperator.from_term(
-                            [(p, True), (q, True), (s, False), (r, False)], coefficient
+                        operator._add_term(
+                            ((p, True), (q, True), (s, False), (r, False)), coefficient
                         )
     return operator
 

@@ -42,5 +42,5 @@ def jordan_wigner(operator: FermionOperator, num_qubits: int | None = None) -> P
         term = PauliSum.identity(num_qubits, coefficient)
         for orbital, creation in ladder:
             term = term @ ladder_operator(num_qubits, orbital, creation)
-        result = result + term
+        result.add_sum(term)
     return result.chop()

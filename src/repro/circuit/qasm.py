@@ -7,7 +7,12 @@ swap, barrier, measure).
 
 Parse failures raise :class:`QasmError`, a diagnostic-style error that
 carries the 1-based line number and the offending source line, so a bad
-corpus file points at its own defect instead of at the parser.
+corpus file points at its own defect instead of at the parser.  The
+parser is safe on hostile text: rotation angles go through a small
+recursive-descent evaluator (numbers, ``pi``, ``+ - * / ( )``, unary
+signs -- no exponentiation, bounded nesting) that rejects non-finite
+results, and register sizes and qubit indices are bounded before they
+are converted.
 """
 
 from __future__ import annotations
@@ -24,6 +29,13 @@ _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 _ONE_QUBIT = {"x", "y", "z", "h", "s", "sdg"}
 _ROTATION = {"rx", "ry", "rz"}
 _TWO_QUBIT = {"cx", "cz", "swap"}
+
+#: Largest accepted ``qreg`` size: far above any device in the library,
+#: small enough that a hostile file cannot request a huge register.
+MAX_QUBITS = 1024
+
+#: Deepest accepted parenthesis nesting inside a rotation angle.
+_MAX_ANGLE_DEPTH = 32
 
 #: Operand arity of every parseable gate mnemonic.
 _ARITY = {name: 1 for name in _ONE_QUBIT | _ROTATION}
@@ -66,7 +78,9 @@ def _gate_to_qasm(gate: Gate) -> str:
     if gate.name in _ONE_QUBIT or gate.name in _TWO_QUBIT:
         return f"{gate.name} {operands};"
     if gate.name in _ROTATION:
-        return f"{gate.name}({gate.params[0]:.17g}) {operands};"
+        # Adding 0.0 folds -0.0 into 0.0: the one place signed zero is
+        # canonicalized, so printing is a fixed point of parse-then-print.
+        return f"{gate.name}({gate.params[0] + 0.0:.17g}) {operands};"
     if gate.name == "barrier":
         # An operand-free barrier is QASM's whole-register form.
         return f"barrier {operands};" if operands else "barrier q;"
@@ -78,7 +92,7 @@ def _gate_to_qasm(gate: Gate) -> str:
 
 _QREG_RE = re.compile(r"^qreg\s+(\w+)\s*\[\s*(\d+)\s*\]\s*;$")
 _GATE_RE = re.compile(
-    r"^(?P<name>[a-z]+)\s*(?:\((?P<angle>[^)]*)\))?\s+(?P<operands>[^;]+);$"
+    r"^(?P<name>[a-z]+)(?:\s*\((?P<angle>.*)\))?\s+(?P<operands>[^;()\s][^;()]*);$"
 )
 _OPERAND_RE = re.compile(r"^\w+\s*\[\s*(\d+)\s*\]$")
 _MEASURE_RE = re.compile(
@@ -90,10 +104,10 @@ def from_qasm(text: str) -> Circuit:
     """Parse the supported OpenQASM 2.0 subset back into a circuit.
 
     Raises :class:`QasmError` (with the 1-based line number and source
-    line) on malformed input: missing/duplicate ``qreg``, unknown gate
-    mnemonics, wrong operand counts, repeated operands on two-qubit
-    gates, out-of-range qubit indices, and missing/unparseable rotation
-    angles.
+    line) on malformed input: missing/duplicate ``qreg``, a ``qreg``
+    larger than :data:`MAX_QUBITS`, unknown gate mnemonics, wrong operand
+    counts, repeated operands on two-qubit gates, out-of-range qubit
+    indices, and missing, unparseable or non-finite rotation angles.
     """
     num_qubits: int | None = None
     gates: list[Gate] = []
@@ -111,7 +125,12 @@ def from_qasm(text: str) -> Circuit:
                 raise fail("malformed qreg declaration")
             if num_qubits is not None:
                 raise fail("duplicate qreg declaration (one register supported)")
-            num_qubits = int(qreg.group(2))
+            num_qubits = _bounded_index(qreg.group(2), MAX_QUBITS + 1)
+            if num_qubits is None:
+                raise fail(
+                    f"qreg size {qreg.group(2)} exceeds the supported maximum "
+                    f"of {MAX_QUBITS} qubits"
+                )
             continue
         if num_qubits is None:
             raise fail("statement before the qreg declaration")
@@ -165,14 +184,26 @@ def from_qasm(text: str) -> Circuit:
 _Fail = Callable[[str], QasmError]
 
 
+def _bounded_index(digits: str, bound: int) -> int | None:
+    """``int(digits)`` when it is below ``bound``, else ``None``.
+
+    Compares lengths first, so an arbitrarily long digit string is never
+    converted.
+    """
+    if len(digits.lstrip("0")) > len(str(bound)):
+        return None
+    value = int(digits)
+    return value if value < bound else None
+
+
 def _parse_operand(text: str, num_qubits: int, fail: _Fail) -> int:
     match = _OPERAND_RE.match(text.strip())
     if not match:
         raise fail(f"malformed operand {text.strip()!r} (expected 'q[<index>]')")
-    index = int(match.group(1))
-    if index >= num_qubits:
+    index = _bounded_index(match.group(1), num_qubits)
+    if index is None:
         raise fail(
-            f"qubit index {index} out of range for qreg of size {num_qubits}"
+            f"qubit index {match.group(1)} out of range for qreg of size {num_qubits}"
         )
     return index
 
@@ -180,11 +211,100 @@ def _parse_operand(text: str, num_qubits: int, fail: _Fail) -> int:
 def _parse_angle(text: str | None, fail: _Fail) -> float:
     if text is None:
         raise fail("rotation gate missing its angle")
-    value = text.strip().replace("pi", repr(math.pi))
-    # Allow simple arithmetic like "pi/2" or "-3*pi/4".
-    if not value or not re.fullmatch(r"[-+*/(). 0-9e]+", value):
-        raise fail(f"cannot parse angle {text.strip()!r}")
+    source = text.strip()
     try:
-        return float(eval(value, {"__builtins__": {}}, {}))  # noqa: S307 - sanitized
-    except (SyntaxError, ZeroDivisionError, TypeError, NameError) as error:
-        raise fail(f"cannot evaluate angle {text.strip()!r}: {error}") from error
+        value = _AngleEvaluator(source).evaluate()
+    except _AngleError as error:
+        raise fail(f"cannot evaluate angle {source!r}: {error}") from None
+    if not math.isfinite(value):
+        raise fail(f"angle {source!r} is not finite")
+    return value
+
+
+class _AngleError(ValueError):
+    """An angle expression outside the accepted grammar."""
+
+
+_ANGLE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)|(?P<op>pi|[-+*/()])|(?P<bad>\S))"
+)
+
+
+class _AngleEvaluator:
+    """Recursive-descent evaluator for rotation-angle expressions::
+
+        expr   := term (("+" | "-") term)*
+        term   := factor (("*" | "/") factor)*
+        factor := ("+" | "-")* (NUMBER | "pi" | "(" expr ")")
+
+    Arithmetic is IEEE float64, left to right.  With no exponent operator
+    and nesting capped at :data:`_MAX_ANGLE_DEPTH`, evaluation time is
+    linear in the text length.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.tokens: list[str] = []
+        for match in _ANGLE_TOKEN_RE.finditer(text.rstrip()):
+            if match.group("bad") is not None:
+                raise _AngleError(f"unexpected character {match.group('bad')!r}")
+            self.tokens.append(match.group("number") or match.group("op"))
+        self.position = 0
+
+    def evaluate(self) -> float:
+        value = self._expr(0)
+        if self.position < len(self.tokens):
+            raise _AngleError(f"unexpected {self.tokens[self.position]!r}")
+        return value
+
+    def _peek(self) -> str | None:
+        if self.position < len(self.tokens):
+            return self.tokens[self.position]
+        return None
+
+    def _take(self) -> str:
+        token = self._peek()
+        if token is None:
+            raise _AngleError("unexpected end of expression")
+        self.position += 1
+        return token
+
+    def _expr(self, depth: int) -> float:
+        value = self._term(depth)
+        while self._peek() in ("+", "-"):
+            if self._take() == "+":
+                value = value + self._term(depth)
+            else:
+                value = value - self._term(depth)
+        return value
+
+    def _term(self, depth: int) -> float:
+        value = self._factor(depth)
+        while self._peek() in ("*", "/"):
+            if self._take() == "*":
+                value = value * self._factor(depth)
+            else:
+                divisor = self._factor(depth)
+                if divisor == 0.0:
+                    raise _AngleError("division by zero")
+                value = value / divisor
+        return value
+
+    def _factor(self, depth: int) -> float:
+        negate = False
+        token = self._take()
+        while token in ("+", "-"):
+            negate ^= token == "-"
+            token = self._take()
+        if token == "(":
+            if depth >= _MAX_ANGLE_DEPTH:
+                raise _AngleError(f"nesting deeper than {_MAX_ANGLE_DEPTH}")
+            value = self._expr(depth + 1)
+            if self._take() != ")":
+                raise _AngleError("unbalanced parentheses")
+        elif token == "pi":
+            value = math.pi
+        elif token[0].isdigit() or token[0] == ".":
+            value = float(token)
+        else:
+            raise _AngleError(f"unexpected {token!r}")
+        return -value if negate else value

@@ -19,7 +19,7 @@ caching subsystem:
 * :class:`ContentAddressedCache` -- a thread-safe LRU store with
   hit/miss/eviction counters, used through :func:`compile_cache` (the
   process-global instance the pipeline passes and the fusion engine
-  share) or as private instances (the importance-score memo).
+  share).
 
 Circuit hashes come in two flavors, selected by ``values=``:
 

@@ -11,16 +11,41 @@ parameter is unlikely to move PH's measured value:
 
 Equivalently, ``d = n - #{qubits where both are non-identity and
 different}``, which is three bitmask operations in the symplectic
-representation.  The string's score is ``sum_PH 2^-d * |w_H|`` and a
+representation.  The string's score is ``sum_PH base^-d * |w_H|`` and a
 parameter's importance is the sum over its strings.
+
+:func:`decay_factor` is the scalar definition.  The scores themselves
+come from one numpy kernel over symplectic mask tables (``uint64`` words,
+so any qubit count takes the same path), which keeps the paper's
+O(n * #Pa * #PH) cost but runs it as array operations.  The kernel is
+bit-identical to the scalar double loop (score ``+=`` term by term,
+importance ``+=`` string by string) because it keeps that loop's
+floating-point order exactly:
+
+* each weight ``base^-d`` comes from a power table built with Python's
+  ``decay_base ** -k``, and each ``|w_H|`` from the coefficient's own
+  ``abs()`` (``np.power`` and ``np.abs`` can differ in the last ulp);
+* each row is accumulated sequentially in Hamiltonian iteration order
+  (``np.cumsum``, not the pairwise ``np.sum`` or a matmul);
+* string scores are scattered into parameters with ``np.add.at`` in
+  program order.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from repro.core.bits import popcount
 from repro.core.ir import PauliProgram
 from repro.pauli import PauliString, PauliSum
+from repro.pauli.pauli_string import mask_words
+
+#: Size of one ``(rows, terms)`` uint64 intermediate.  It fixes the
+#: row-block size, so working memory stays flat and cache-resident at
+#: any problem size.
+_BLOCK_BYTES = 1 << 18
 
 
 def decay_factor(ansatz_pauli: PauliString, hamiltonian_pauli: PauliString) -> int:
@@ -35,6 +60,46 @@ def decay_factor(ansatz_pauli: PauliString, hamiltonian_pauli: PauliString) -> i
     return ansatz_pauli.num_qubits - active_difference.bit_count()
 
 
+def _string_scores(
+    paulis: Sequence[PauliString], hamiltonian: PauliSum, decay_base: float
+) -> np.ndarray:
+    """Alg. 1 score of every string in ``paulis`` (one row each)."""
+    if decay_base <= 1.0:
+        raise ValueError("decay base must exceed 1")
+    n = hamiltonian.num_qubits
+    hx, hz, _ = hamiltonian.to_tables()
+    h_support = hx | hz
+    # The constant term is insensitive to every parameter.
+    varying = h_support.any(axis=0)
+    hx, hz, h_support = hx[:, varying], hz[:, varying], h_support[:, varying]
+    # Each coefficient's own abs(): np.abs on complex128 can differ from
+    # Python's complex abs in the last ulp.
+    magnitudes = np.array([abs(c) for _, c in hamiltonian.items()], dtype=float)[varying]
+    scores = np.zeros(len(paulis))
+    if not len(magnitudes):
+        return scores
+    ax = mask_words([pauli.x for pauli in paulis], n)
+    az = mask_words([pauli.z for pauli in paulis], n)
+    a_support = ax | az
+    # weight_of_count[c] = base^-d for d = n - c active differences.
+    weight_of_count = np.array([decay_base ** -(n - c) for c in range(n + 1)])
+    rows = max(1, _BLOCK_BYTES // (8 * len(magnitudes)))
+    for start in range(0, len(paulis), rows):
+        stop = min(start + rows, len(paulis))
+        block = slice(start, stop)
+        count = np.zeros((stop - start, len(magnitudes)), dtype=np.intp)
+        for word in range(len(ax)):
+            active = ax[word, block, None] ^ hx[word]
+            active |= az[word, block, None] ^ hz[word]
+            active &= a_support[word, block, None]
+            active &= h_support[word]
+            count += popcount(active)
+        weights = weight_of_count[count]
+        weights *= magnitudes
+        scores[block] = np.cumsum(weights, axis=1)[:, -1]
+    return scores
+
+
 def string_score(
     ansatz_pauli: PauliString, hamiltonian: PauliSum, *, decay_base: float = 2.0
 ) -> float:
@@ -43,35 +108,9 @@ def string_score(
     ``decay_base`` parameterizes the exponential decay ``base^-d`` (the
     paper uses 2; the ablation benchmark sweeps it).
     """
-    if decay_base <= 1.0:
-        raise ValueError("decay base must exceed 1")
-    score = 0.0
-    for coefficient, hamiltonian_pauli in hamiltonian:
-        if hamiltonian_pauli.is_identity():
-            continue  # the constant term is insensitive to every parameter
-        d = decay_factor(ansatz_pauli, hamiltonian_pauli)
-        score += (decay_base ** -d) * abs(coefficient)
-    return score
-
-
-#: String-score memos keyed per (Hamiltonian content, decay base): each
-#: entry is a lazily filled ``pauli.key() -> score`` dict shared across
-#: calls, so sweep loops that score many programs against one
-#: Hamiltonian (ratio scans, ablations, repeated compression) pay for
-#: each distinct string once per process instead of once per call.
-_SCORE_MEMOS = None
-
-
-def _score_memo(hamiltonian: PauliSum, decay_base: float) -> dict:
-    global _SCORE_MEMOS
-    from repro.core.cache import ContentAddressedCache, pauli_sum_key
-
-    if _SCORE_MEMOS is None:
-        # lint: ignore[RR101] - benign lazy init: a racing loser's memo is
-        # orphaned but every returned dict still yields correct scores
-        _SCORE_MEMOS = ContentAddressedCache(max_entries=32, name="importance-scores")
-    key = (pauli_sum_key(hamiltonian), float(decay_base))
-    return _SCORE_MEMOS.get_or_compute(key, dict)
+    if ansatz_pauli.num_qubits != hamiltonian.num_qubits:
+        raise ValueError("qubit count mismatch")
+    return float(_string_scores([ansatz_pauli], hamiltonian, decay_base)[0])
 
 
 def parameter_importance(
@@ -79,18 +118,12 @@ def parameter_importance(
 ) -> np.ndarray:
     """Importance of every parameter: sum of its strings' scores.
 
-    Complexity O(n * #Pa * #PH), as stated in Section III-A, with the
-    per-string scores memoized across calls (see :data:`_SCORE_MEMOS`).
+    Complexity O(n * #Pa * #PH), as stated in Section III-A.
     """
     if program.num_qubits != hamiltonian.num_qubits:
         raise ValueError("program and Hamiltonian qubit counts differ")
+    scores = _string_scores(program.paulis(), hamiltonian, decay_base)
     importance = np.zeros(program.num_parameters)
-    score_cache = _score_memo(hamiltonian, decay_base)
-    for term in program:
-        key = term.pauli.key()
-        score = score_cache.get(key)
-        if score is None:
-            score = string_score(term.pauli, hamiltonian, decay_base=decay_base)
-            score_cache[key] = score
-        importance[term.parameter_index] += score
+    parameters = np.array([term.parameter_index for term in program], dtype=np.intp)
+    np.add.at(importance, parameters, scores)
     return importance

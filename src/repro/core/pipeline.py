@@ -478,15 +478,11 @@ def _hamiltonian_tables(hamiltonian: Any) -> dict[str, np.ndarray] | None:
     """
     if hamiltonian.num_qubits > 64:
         return None
-    keys = []
-    coefficients = []
-    for (x_mask, z_mask), coefficient in hamiltonian.items():
-        keys.append((x_mask, z_mask))
-        coefficients.append(coefficient)
+    x_words, z_words, coefficients = hamiltonian.to_tables()
     return {
-        "x": np.array([k[0] for k in keys], dtype=np.uint64),
-        "z": np.array([k[1] for k in keys], dtype=np.uint64),
-        "coeff": np.array(coefficients, dtype=np.complex128),
+        "x": x_words[0],
+        "z": z_words[0],
+        "coeff": coefficients,
     }
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 _LABEL_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
@@ -176,8 +178,6 @@ class PauliString:
     # ------------------------------------------------------------------
     def to_matrix(self):
         """Dense ``2^n x 2^n`` complex matrix (small n only; used by tests)."""
-        import numpy as np
-
         if self.num_qubits > 12:
             raise ValueError("to_matrix is only intended for small qubit counts")
         dim = 1 << self.num_qubits
@@ -226,3 +226,22 @@ class PauliString:
 def paulis_from_labels(labels: Sequence[str]) -> list[PauliString]:
     """Convenience constructor for test fixtures and examples."""
     return [PauliString.from_label(label) for label in labels]
+
+
+def mask_words(masks: Sequence[int], num_qubits: int) -> np.ndarray:
+    """Split integer bitmasks into a word-major ``(W, len(masks))`` ``uint64`` table.
+
+    ``W = max(1, ceil(num_qubits / 64))`` and row ``w`` holds qubits
+    ``64w .. 64w + 63`` of every mask, so kernels over these tables take
+    one path at every qubit count.
+    """
+    num_words = max(1, -(-num_qubits // 64))
+    table = np.empty((num_words, len(masks)), dtype=np.uint64)
+    for word in range(num_words):
+        shift = 64 * word
+        table[word] = np.fromiter(
+            ((mask >> shift) & 0xFFFFFFFFFFFFFFFF for mask in masks),
+            dtype=np.uint64,
+            count=len(masks),
+        )
+    return table

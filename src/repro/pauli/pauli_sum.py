@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
-from repro.pauli.pauli_string import PauliString
+import numpy as np
+
+from repro.pauli.pauli_string import PauliString, mask_words
 
 _DEFAULT_TOLERANCE = 1e-12
 
@@ -107,6 +109,20 @@ class PauliSum:
     def paulis(self) -> list[PauliString]:
         return [pauli for _, pauli in self]
 
+    def to_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Symplectic ``(x, z, coeff)`` tables of the terms, in iteration order.
+
+        ``x`` and ``z`` are ``(W, T)`` ``uint64`` word tables (see
+        :func:`~repro.pauli.pauli_string.mask_words`); ``coeff`` is the
+        ``(T,)`` ``complex128`` coefficient vector.
+        """
+        keys = sorted(self._terms)
+        return (
+            mask_words([x for x, _ in keys], self.num_qubits),
+            mask_words([z for _, z in keys], self.num_qubits),
+            np.array([self._terms[key] for key in keys], dtype=np.complex128),
+        )
+
     def is_hermitian(self, tolerance: float = 1e-10) -> bool:
         return all(abs(v.imag) < tolerance for v in self._terms.values())
 
@@ -124,9 +140,14 @@ class PauliSum:
     def __add__(self, other: "PauliSum") -> "PauliSum":
         self._check_compatible(other)
         result = PauliSum(self.num_qubits, self._terms)
-        for key, value in other._terms.items():
-            result.add_key(value, key)
+        result.add_sum(other)
         return result
+
+    def add_sum(self, other: "PauliSum") -> None:
+        """Accumulate ``other`` into this sum in place (no copy of self)."""
+        self._check_compatible(other)
+        for key, value in other._terms.items():
+            self.add_key(value, key)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (other * -1.0)
@@ -167,8 +188,6 @@ class PauliSum:
     # ------------------------------------------------------------------
     def to_matrix(self):
         """Dense matrix (test/diagnostic use, small n only)."""
-        import numpy as np
-
         if self.num_qubits > 12:
             raise ValueError("to_matrix is only intended for small qubit counts")
         dim = 1 << self.num_qubits

@@ -349,18 +349,6 @@ class TestPipelineCaching:
 
 
 class TestImportanceMemo:
-    def test_scores_memoized_across_calls(self):
-        import repro.core.importance as importance
-
-        problem = build_molecule_hamiltonian("H2")
-        program = build_uccsd_program(problem).program
-        first = importance.parameter_importance(program, problem.hamiltonian)
-        memo = importance._SCORE_MEMOS
-        hits_before = memo.stats.hits
-        second = importance.parameter_importance(program, problem.hamiltonian)
-        assert memo.stats.hits > hits_before  # the per-Hamiltonian memo hit
-        np.testing.assert_allclose(first, second, rtol=0, atol=0)
-
     def test_decay_base_keys_are_isolated(self):
         problem = build_molecule_hamiltonian("H2")
         program = build_uccsd_program(problem).program

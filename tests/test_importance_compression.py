@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ansatz import build_uccsd_program
@@ -14,7 +14,29 @@ from repro.core import (
     random_ansatz,
     string_score,
 )
+from repro.core.ir import IRTerm, PauliProgram
 from repro.pauli import PauliString, PauliSum
+
+
+def scalar_parameter_importance(program, hamiltonian, decay_base=2.0):
+    """Alg. 1 as the per-pair double loop: the oracle for the kernel.
+
+    Scores accumulate term by term in Hamiltonian iteration order and
+    importances string by string in program order; the vectorized
+    kernel must reproduce this bit for bit.
+    """
+    terms = [
+        (abs(coefficient), pauli) for coefficient, pauli in hamiltonian
+        if not pauli.is_identity()  # the constant term moves with no parameter
+    ]
+    importance = np.zeros(program.num_parameters)
+    for term in program:
+        score = 0.0
+        for magnitude, hamiltonian_pauli in terms:
+            d = decay_factor(term.pauli, hamiltonian_pauli)
+            score += (decay_base ** -d) * magnitude
+        importance[term.parameter_index] += score
+    return importance
 
 
 class TestDecayFactor:
@@ -92,6 +114,101 @@ class TestParameterImportance:
         other = PauliSum.from_label_dict({"XX": 1.0})
         with pytest.raises(ValueError):
             parameter_importance(program, other)
+
+
+def _case(num_qubits, hamiltonian_terms, program_terms, num_parameters):
+    """A (program, Hamiltonian) pair from raw ``(x, z, weight)`` tuples."""
+    hamiltonian = PauliSum(num_qubits)
+    for x, z, coefficient in hamiltonian_terms:
+        hamiltonian.add_key(coefficient, (x, z))
+    program = PauliProgram(
+        num_qubits,
+        num_parameters,
+        [
+            IRTerm(PauliString(num_qubits, x, z), 0.5, index)
+            for x, z, index in program_terms
+        ],
+    )
+    return program, hamiltonian
+
+
+@st.composite
+def importance_cases(draw):
+    """Random programs and Hamiltonians over 1..130 qubits (1-3 words)."""
+    n = draw(st.one_of(st.integers(1, 130), st.sampled_from([63, 64, 65, 128])))
+    masks = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    coefficients = st.complex_numbers(
+        max_magnitude=10.0, allow_nan=False, allow_infinity=False
+    )
+    hamiltonian_terms = [
+        (x, z, c)
+        for (x, z), c in draw(st.lists(st.tuples(masks, coefficients), max_size=12))
+    ]
+    num_parameters = draw(st.integers(1, 5))
+    # Strings come from a small pool so duplicates are common.
+    pool = draw(st.lists(masks, min_size=1, max_size=6))
+    program_terms = [
+        (*draw(st.sampled_from(pool)), draw(st.integers(0, num_parameters - 1)))
+        for _ in range(draw(st.integers(0, 10)))
+    ]
+    return _case(n, hamiltonian_terms, program_terms, num_parameters)
+
+
+class TestKernelMatchesScalarReference:
+    """The vectorized Alg. 1 kernel is bit-identical to the scalar loop."""
+
+    @pytest.mark.parametrize(
+        "molecule", ["H2", "LiH", "NaH", "HF", "BeH2", "H2O", "BH3"]
+    )
+    def test_table2_molecules(self, molecule):
+        problem = build_molecule_hamiltonian(molecule)
+        program = build_uccsd_program(problem).program
+        for decay_base in (2.0, 1.5, 4.0):
+            assert np.array_equal(
+                parameter_importance(
+                    program, problem.hamiltonian, decay_base=decay_base
+                ),
+                scalar_parameter_importance(program, problem.hamiltonian, decay_base),
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        importance_cases(),
+        st.one_of(st.sampled_from([2.0, 1.5, 3.0, 4.0]), st.floats(1.01, 8.0)),
+    )
+    @example(  # one full word: bit 63 set on both sides
+        _case(64, [(1 << 63, 0, 0.3), ((1 << 63) | 1, 1, -1.25)],
+              [(1 << 63, 1 << 63, 0), (1, 0, 1)], 2),
+        2.0,
+    )
+    @example(  # a second word holding one qubit
+        _case(65, [(1 << 64, 0, 0.7), ((1 << 64) | (1 << 63), 1 << 64, 0.2j)],
+              [(1 << 64, 1 << 64, 0), ((1 << 63) | (1 << 64), 0, 0)], 1),
+        1.5,
+    )
+    @example(  # identity-only Hamiltonian: every score is exactly zero
+        _case(3, [(0, 0, -1.1)], [(1, 0, 0), (6, 2, 1)], 2), 2.0
+    )
+    @example(  # duplicate strings, on one parameter and across two
+        _case(4, [(3, 0, 0.5), (0, 12, -0.25), (5, 5, 0.125)],
+              [(3, 1, 0), (3, 1, 0), (3, 1, 1)], 2),
+        3.0,
+    )
+    @example(_case(5, [(1, 2, 0.5)], [], 3), 4.0)  # empty program
+    def test_random_programs(self, case, decay_base):
+        program, hamiltonian = case
+        assert np.array_equal(
+            parameter_importance(program, hamiltonian, decay_base=decay_base),
+            scalar_parameter_importance(program, hamiltonian, decay_base),
+        )
+
+    def test_string_score_is_the_one_row_case(self):
+        problem = build_molecule_hamiltonian("LiH")
+        program = build_uccsd_program(problem).program
+        for term in program.terms[:8]:
+            single = PauliProgram(program.num_qubits, 1, [IRTerm(term.pauli, 1.0, 0)])
+            expected = scalar_parameter_importance(single, problem.hamiltonian)[0]
+            assert string_score(term.pauli, problem.hamiltonian) == expected
 
 
 class TestCompression:

@@ -1,14 +1,15 @@
 """Property-based QASM round-trip and located parse diagnostics."""
 
 import math
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import Circuit
 from repro.circuit.gates import Gate
-from repro.circuit.qasm import QasmError, from_qasm, to_qasm
+from repro.circuit.qasm import MAX_QUBITS, QasmError, from_qasm, to_qasm
 
 _ONE_QUBIT = ("x", "y", "z", "h", "s", "sdg")
 _ROTATIONS = ("rx", "ry", "rz")
@@ -61,6 +62,7 @@ class TestRoundTrip:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(gates(), min_size=0, max_size=30))
+    @example([Gate("rx", (0,), (-0.0,))])  # printed "-0", re-parsed as int 0
     def test_round_trip_is_idempotent(self, gate_list):
         # Serializing the parsed circuit again is byte-identical: the
         # printer is a fixed point, which is what makes the corpus
@@ -76,6 +78,15 @@ class TestRoundTrip:
         circuit = from_qasm(text)
         assert circuit.gates[0].params[0] == pytest.approx(math.pi / 4)
         assert circuit.gates[1].params[0] == pytest.approx(-1.5 * math.pi)
+
+    def test_nested_angle_expressions_parse(self):
+        circuit = from_qasm(_qasm("rz((pi)/2) q[0];\nrx(-(pi/4)*-2) q[1];"))
+        assert circuit.gates[0].params[0] == math.pi / 2
+        assert circuit.gates[1].params[0] == math.pi / 2
+
+    def test_signed_zero_prints_canonically(self):
+        text = to_qasm(Circuit(1, [Gate("rz", (0,), (-0.0,))]))
+        assert "rz(0) q[0];" in text
 
 
 def _qasm(body: str, *, qubits: int = 3) -> str:
@@ -142,3 +153,63 @@ class TestDiagnostics:
         # Callers that predate the located diagnostics catch ValueError.
         with pytest.raises(ValueError):
             from_qasm(_qasm("ccx q[0],q[1],q[2];"))
+
+
+class TestHostileInput:
+    """Text a user or file controls parses, or raises QasmError, quickly."""
+
+    def _error(self, text: str) -> QasmError:
+        with pytest.raises(QasmError) as excinfo:
+            from_qasm(text)
+        return excinfo.value
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="0123456789.eE+-*/() pi", max_size=40))
+    @example("9**9**9")  # exponentiation hung the old eval-based parser
+    @example("1e999")  # inf
+    @example("1e999-1e999")  # NaN
+    @example("1e308*10")  # overflow in an intermediate step
+    @example("-0.0")
+    @example("(" * 40 + "1" + ")" * 40)  # nesting past the depth bound
+    def test_angle_text_parses_or_raises(self, angle):
+        start = time.perf_counter()
+        try:
+            circuit = from_qasm(_qasm(f"rz({angle}) q[0];"))
+        except QasmError:
+            pass
+        else:
+            assert math.isfinite(circuit.gates[0].params[0])
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("angle", ["1e999", "1e999-1e999", "-1e999", "1e308*10"])
+    def test_non_finite_angle_rejected(self, angle):
+        error = self._error(_qasm(f"rx({angle}) q[0];"))
+        assert error.line_number == 4
+        assert "not finite" in str(error)
+
+    def test_exponentiation_rejected(self):
+        error = self._error(_qasm("rx(9**9**9) q[0];"))
+        assert error.line_number == 4
+
+    def test_qreg_size_bounded(self):
+        error = self._error('OPENQASM 2.0;\nqreg q[1000000];\n')
+        assert error.line_number == 2
+        assert str(MAX_QUBITS) in str(error)
+        assert from_qasm(f"qreg q[{MAX_QUBITS}];\n").num_qubits == MAX_QUBITS
+
+    def test_huge_digit_strings_rejected(self):
+        self._error(f"qreg q[{'9' * 5000}];\n")
+        self._error(_qasm(f"h q[{'9' * 5000}];"))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "h " + " " * 20000 + "x",  # quadratic backtracking in the statement regex
+            "rz(" + ") " * 10000 + " q[0]",
+            "rz(" + "(" * 10000 + "1" + ")" * 10000 + ") q[0];",
+        ],
+    )
+    def test_pathological_lines_fail_fast(self, line):
+        start = time.perf_counter()
+        self._error(_qasm(line))
+        assert time.perf_counter() - start < 1.0
