@@ -21,7 +21,7 @@ from repro.chem.hartree_fock import RHFResult, run_rhf
 from repro.chem.integrals import build_basis, compute_integrals
 from repro.chem.jordan_wigner import jordan_wigner
 from repro.chem.mo_integrals import spin_orbital_integrals, transform_to_mo
-from repro.chem.molecules import Molecule, molecule_by_name
+from repro.chem.molecules import Molecule, check_bond_length, molecule_by_name
 from repro.pauli import PauliSum
 
 
@@ -131,5 +131,7 @@ def build_molecule_hamiltonian(
     """
     if bond_length is None:
         bond_length = molecule_by_name(name).bond_length
+    # Before the cache-key rounding, which cannot take NaN or inf.
+    check_bond_length(bond_length)
     key = int(round(bond_length * 10000))
     return _build_cached(name, key)

@@ -9,12 +9,20 @@ electron repulsion.  Primitives are Cartesian Gaussians
 with l+m+n <= 1 (s and p) for STO-3G, though the recursions below are
 written generally and tested up to d-type Hermite orders.
 
+Nuclear attraction and electron repulsion run as numpy kernels batched
+over primitive pairs and quartets, grouped by angular signature.  They
+replay the floating-point order of the textbook per-primitive loops, so
+their results are bit-identical to those loops (``tests/test_integrals.py``
+keeps them as oracles): Alg. 1 importance ranks by coefficients built from
+these integrals, and a one-ulp change can flip its ties.
+
 References: McMurchie & Davidson, J. Comput. Phys. 26, 218 (1978);
 Helgaker, Jorgensen & Olsen, "Molecular Electronic-Structure Theory".
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,15 +127,16 @@ def _contracted_function(
 # ----------------------------------------------------------------------
 # Hermite expansion coefficients E_t^{ij}
 # ----------------------------------------------------------------------
-def _hermite_coefficients(l1: int, l2: int, pa: float, pb: float, p: float) -> np.ndarray:
+def _hermite_coefficients(l1: int, l2: int, pa, pb, p) -> np.ndarray:
     """E[t] for the 1D product of two Gaussians, t = 0 .. l1+l2.
 
     pa = Px - Ax, pb = Px - Bx, p = combined exponent alpha + beta.
-    Built with the standard upward recursions in (i, j).
+    Built with the standard upward recursions in (i, j), elementwise when
+    pa, pb and p are arrays (the result then has shape (l1+l2+1, *p.shape)).
     """
     one_over_2p = 0.5 / p
     # One extra slot in t so the E(i-1, t+1) lookups never go out of range.
-    table = np.zeros((l1 + 1, l2 + 1, l1 + l2 + 2))
+    table = np.zeros((l1 + 1, l2 + 1, l1 + l2 + 2) + np.shape(p))
     table[0, 0, 0] = 1.0
     for i in range(1, l1 + 1):
         for t in range(i + 1):
@@ -148,14 +157,68 @@ def _hermite_coefficients(l1: int, l2: int, pa: float, pb: float, p: float) -> n
 
 
 # ----------------------------------------------------------------------
-# Boys function
+# Boys function and Hermite Coulomb integrals R^n_{tuv}
 # ----------------------------------------------------------------------
-def boys(n: int, x: float) -> float:
-    """The Boys function F_n(x) = int_0^1 t^{2n} exp(-x t^2) dt."""
-    if x < 1e-12:
-        return 1.0 / (2 * n + 1)
+def _libm(function, x, *args) -> np.ndarray:
+    """``function(x, *args)`` elementwise, through Python's ``math`` (libm).
+
+    numpy's SIMD ``exp`` and ``power`` loops can differ from libm in the
+    last ulp, and the integrals are pinned bit-for-bit to the results of
+    the scalar ``math.exp`` and ``**`` they replace.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel().tolist()
+    values = map(function, flat, *(itertools.repeat(arg, len(flat)) for arg in args))
+    return np.fromiter(values, dtype=float, count=len(flat)).reshape(x.shape)
+
+
+def boys(n: int, x):
+    """The Boys function F_n(x) = int_0^1 t^{2n} exp(-x t^2) dt (elementwise)."""
+    x = np.asarray(x, dtype=float)
     half = n + 0.5
-    return 0.5 * gamma(half) * gammainc(half, x) / (x**half)
+    tiny = x < 1e-12
+    safe = np.where(tiny, 1.0, x)
+    value = 0.5 * gamma(half) * gammainc(half, safe) / _libm(math.pow, safe, half)
+    value = np.where(tiny, 1.0 / (2 * n + 1), value)
+    return float(value) if value.ndim == 0 else value
+
+
+def _hermite_coulomb(p, pc):
+    """Auxiliary Hermite Coulomb integrals R^n_{tuv}, elementwise over arrays.
+
+    Returns ``r(t, u, v)`` giving R^0_{tuv}.  The recursion reduces t, then
+    u, then v, exactly as the textbook scalar recursion does; each
+    R^n_{tuv} is evaluated once per call and then looked up.
+    """
+    x, y, z = pc
+    boys_argument = p * (x * x + y * y + z * z)
+    two_p = 2.0 * p
+    memo: dict[tuple[int, int, int, int], np.ndarray] = {}
+
+    def r(t: int, u: int, v: int, n: int):
+        key = (t, u, v, n)
+        if key in memo:
+            return memo[key]
+        if t == u == v == 0:
+            # (-2p)^n as CPython's ``float ** int`` computes it: 1 for
+            # n = 0, else libm pow of |-2p| with the sign of the parity.
+            value = boys(n, boys_argument)
+            if n:
+                power = _libm(math.pow, two_p, n)
+                value = (-power if n % 2 else power) * value
+        elif t > 0:
+            value = (t - 1) * r(t - 2, u, v, n + 1) if t > 1 else 0.0
+            value = value + x * r(t - 1, u, v, n + 1)
+        elif u > 0:
+            value = (u - 1) * r(t, u - 2, v, n + 1) if u > 1 else 0.0
+            value = value + y * r(t, u - 1, v, n + 1)
+        else:
+            value = (v - 1) * r(t, u, v - 2, n + 1) if v > 1 else 0.0
+            value = value + z * r(t, u, v - 1, n + 1)
+        memo[key] = value
+        return value
+
+    return lambda t, u, v: r(t, u, v, 0)
 
 
 # ----------------------------------------------------------------------
@@ -197,101 +260,6 @@ def _primitive_kinetic(alpha, powers_a, center_a, beta, powers_b, center_b) -> f
     return term0 + term1 + term2
 
 
-def _hermite_coulomb(t: int, u: int, v: int, n: int, p: float, pc: tuple[float, float, float]) -> float:
-    """Auxiliary Hermite Coulomb integrals R_{tuv}^n (recursive)."""
-    x, y, z = pc
-    if t == u == v == 0:
-        r2 = x * x + y * y + z * z
-        return (-2.0 * p) ** n * boys(n, p * r2)
-    if t < 0 or u < 0 or v < 0:
-        return 0.0
-    if t > 0:
-        value = (t - 1) * _hermite_coulomb(t - 2, u, v, n + 1, p, pc) if t > 1 else 0.0
-        return value + x * _hermite_coulomb(t - 1, u, v, n + 1, p, pc)
-    if u > 0:
-        value = (u - 1) * _hermite_coulomb(t, u - 2, v, n + 1, p, pc) if u > 1 else 0.0
-        return value + y * _hermite_coulomb(t, u - 1, v, n + 1, p, pc)
-    value = (v - 1) * _hermite_coulomb(t, u, v - 2, n + 1, p, pc) if v > 1 else 0.0
-    return value + z * _hermite_coulomb(t, u, v - 1, n + 1, p, pc)
-
-
-def _primitive_nuclear(
-    alpha, powers_a, center_a, beta, powers_b, center_b, nucleus
-) -> float:
-    p = alpha + beta
-    composite = tuple(
-        (alpha * a + beta * b) / p for a, b in zip(center_a, center_b)
-    )
-    mu = alpha * beta / p
-    ab2 = sum((a - b) ** 2 for a, b in zip(center_a, center_b))
-    prefactor = math.exp(-mu * ab2)
-    es = []
-    for axis in range(3):
-        pa = composite[axis] - center_a[axis]
-        pb = composite[axis] - center_b[axis]
-        es.append(_hermite_coefficients(powers_a[axis], powers_b[axis], pa, pb, p))
-    pc = tuple(composite[axis] - nucleus[axis] for axis in range(3))
-    value = 0.0
-    for t in range(len(es[0])):
-        for u in range(len(es[1])):
-            for v in range(len(es[2])):
-                value += (
-                    es[0][t] * es[1][u] * es[2][v] * _hermite_coulomb(t, u, v, 0, p, pc)
-                )
-    return 2.0 * math.pi / p * prefactor * value
-
-
-def _primitive_eri(
-    alpha, pa_pows, a_center, beta, pb_pows, b_center,
-    gamma_, pc_pows, c_center, delta, pd_pows, d_center,
-) -> float:
-    p = alpha + beta
-    q = gamma_ + delta
-    composite_p = tuple((alpha * a + beta * b) / p for a, b in zip(a_center, b_center))
-    composite_q = tuple(
-        (gamma_ * c + delta * d) / q for c, d in zip(c_center, d_center)
-    )
-    omega = p * q / (p + q)
-    ab2 = sum((a - b) ** 2 for a, b in zip(a_center, b_center))
-    cd2 = sum((c - d) ** 2 for c, d in zip(c_center, d_center))
-    prefactor = math.exp(-alpha * beta / p * ab2) * math.exp(-gamma_ * delta / q * cd2)
-
-    e_bra = []
-    e_ket = []
-    for axis in range(3):
-        pa = composite_p[axis] - a_center[axis]
-        pb = composite_p[axis] - b_center[axis]
-        e_bra.append(_hermite_coefficients(pa_pows[axis], pb_pows[axis], pa, pb, p))
-        qc = composite_q[axis] - c_center[axis]
-        qd = composite_q[axis] - d_center[axis]
-        e_ket.append(_hermite_coefficients(pc_pows[axis], pd_pows[axis], qc, qd, q))
-
-    pq = tuple(composite_p[axis] - composite_q[axis] for axis in range(3))
-    value = 0.0
-    for t in range(len(e_bra[0])):
-        for u in range(len(e_bra[1])):
-            for v in range(len(e_bra[2])):
-                bra = e_bra[0][t] * e_bra[1][u] * e_bra[2][v]
-                if bra == 0.0:
-                    continue
-                for tau in range(len(e_ket[0])):
-                    for nu in range(len(e_ket[1])):
-                        for phi in range(len(e_ket[2])):
-                            ket = e_ket[0][tau] * e_ket[1][nu] * e_ket[2][phi]
-                            if ket == 0.0:
-                                continue
-                            sign = (-1.0) ** (tau + nu + phi)
-                            value += bra * ket * sign * _hermite_coulomb(
-                                t + tau, u + nu, v + phi, 0, omega, pq
-                            )
-    return (
-        2.0 * math.pi**2.5
-        / (p * q * math.sqrt(p + q))
-        * prefactor
-        * value
-    )
-
-
 # ----------------------------------------------------------------------
 # Contracted integrals
 # ----------------------------------------------------------------------
@@ -315,36 +283,187 @@ def _kinetic_contracted(a: BasisFunction, b: BasisFunction) -> float:
     return value
 
 
-def _nuclear_contracted(
-    a: BasisFunction, b: BasisFunction, charges: list[int], nuclei: np.ndarray
-) -> float:
-    value = 0.0
-    for ca, alpha in zip(a.coefficients, a.exponents):
-        for cb, beta in zip(b.coefficients, b.exponents):
-            accumulated = 0.0
-            for charge, nucleus in zip(charges, nuclei):
-                accumulated -= charge * _primitive_nuclear(
-                    alpha, a.powers, a.center, beta, b.powers, b.center, tuple(nucleus)
-                )
-            value += ca * cb * accumulated
-    return value
+# ----------------------------------------------------------------------
+# Nuclear attraction and electron repulsion, batched over primitives
+# ----------------------------------------------------------------------
+#: 2 pi^(5/2), the constant of the primitive ERI prefactor.
+_ERI_CONSTANT = 2.0 * math.pi**2.5
 
 
-def _eri_contracted(
-    a: BasisFunction, b: BasisFunction, c: BasisFunction, d: BasisFunction
-) -> float:
-    value = 0.0
-    for ca, alpha in zip(a.coefficients, a.exponents):
-        for cb, beta in zip(b.coefficients, b.exponents):
-            for cc, gamma_ in zip(c.coefficients, c.exponents):
-                for cd, delta in zip(d.coefficients, d.exponents):
-                    value += ca * cb * cc * cd * _primitive_eri(
-                        alpha, a.powers, a.center,
-                        beta, b.powers, b.center,
-                        gamma_, c.powers, c.center,
-                        delta, d.powers, d.center,
-                    )
-    return value
+@dataclass(frozen=True)
+class _PrimitivePairs:
+    """Gaussian-product data of AO pairs (a, b), one row per pair.
+
+    Columns run over the primitive pairs in a-major order.  ``hermite``
+    holds the E_t coefficients per axis with shape (rows, l_a+l_b+1, K).
+    """
+
+    exponent: np.ndarray      # p = alpha + beta
+    center: np.ndarray        # P, shape (rows, 3, K)
+    prefactor: np.ndarray     # exp(-alpha beta / p |AB|^2)
+    first: np.ndarray         # c_a
+    second: np.ndarray        # c_b
+    hermite: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def take(self, rows: np.ndarray) -> "_PrimitivePairs":
+        return _PrimitivePairs(
+            exponent=self.exponent[rows],
+            center=self.center[rows],
+            prefactor=self.prefactor[rows],
+            first=self.first[rows],
+            second=self.second[rows],
+            hermite=(self.hermite[0][rows], self.hermite[1][rows], self.hermite[2][rows]),
+        )
+
+
+def _primitive_pairs(pairs: list[tuple[BasisFunction, BasisFunction]]) -> _PrimitivePairs:
+    """Stack the product data of AO pairs sharing powers and contraction lengths."""
+    a0, b0 = pairs[0]
+    k_a, k_b = len(a0.exponents), len(b0.exponents)
+    alpha = np.array([np.repeat(a.exponents, k_b) for a, _ in pairs])
+    beta = np.array([np.tile(b.exponents, k_a) for _, b in pairs])
+    first = np.array([np.repeat(a.coefficients, k_b) for a, _ in pairs])
+    second = np.array([np.tile(b.coefficients, k_a) for _, b in pairs])
+    a_center = np.array([a.center for a, _ in pairs])[:, :, None]
+    b_center = np.array([b.center for _, b in pairs])[:, :, None]
+    p = alpha + beta
+    center = (alpha[:, None] * a_center + beta[:, None] * b_center) / p[:, None]
+    ab2 = np.array([sum((a - b) ** 2 for a, b in zip(a.center, b.center)) for a, b in pairs])
+    prefactor = _libm(math.exp, -alpha * beta / p * ab2[:, None])
+    hermite = tuple(
+        np.moveaxis(
+            _hermite_coefficients(
+                a0.powers[axis], b0.powers[axis],
+                center[:, axis] - a_center[:, axis], center[:, axis] - b_center[:, axis], p,
+            ),
+            0, 1,
+        )
+        for axis in range(3)
+    )
+    return _PrimitivePairs(p, center, prefactor, first, second, hermite)
+
+
+def _pair_tables(
+    basis: list[BasisFunction], pairs: list[tuple[int, int]]
+) -> dict[tuple, tuple[list[tuple[int, int]], _PrimitivePairs]]:
+    """Group ordered AO pairs by signature and tabulate each group."""
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for i, j in pairs:
+        a, b = basis[i], basis[j]
+        key = (a.powers, b.powers, len(a.exponents), len(b.exponents))
+        groups.setdefault(key, []).append((i, j))
+    return {
+        key: (members, _primitive_pairs([(basis[i], basis[j]) for i, j in members]))
+        for key, members in groups.items()
+    }
+
+
+def _contracted_sum(terms: np.ndarray) -> np.ndarray:
+    """Row sums added left to right, as the scalar ``value += term`` loop does.
+
+    ``np.cumsum`` keeps the sequential order (``np.sum`` is pairwise); the
+    trailing ``+ 0.0`` matches the loop's 0.0 start on an all-negative-zero row.
+    """
+    return np.cumsum(terms.reshape(len(terms), -1), axis=1)[:, -1] + 0.0
+
+
+def _nuclear_attraction(
+    pairs: _PrimitivePairs, charges: list[int], nuclei: np.ndarray
+) -> np.ndarray:
+    """V_ab for AO pairs sharing one signature, one per row.
+
+    Arrays run over (pair, nucleus, primitive pair); the floating-point
+    order is that of the scalar loop over primitive pairs and nuclei.
+    """
+    p = pairs.exponent[:, None, :]
+    pc = [pairs.center[:, None, axis, :] - nuclei[None, :, axis, None] for axis in range(3)]
+    r = _hermite_coulomb(p, pc)
+    e = [h[:, :, None, :] for h in pairs.hermite]
+    value = np.zeros(pc[0].shape)
+    for t in range(e[0].shape[1]):
+        for u in range(e[1].shape[1]):
+            for v in range(e[2].shape[1]):
+                value = value + e[0][:, t] * e[1][:, u] * e[2][:, v] * r(t, u, v)
+    primitive = 2.0 * math.pi / p * pairs.prefactor[:, None, :] * value
+    accumulated = np.zeros(pairs.exponent.shape)
+    for nucleus, charge in enumerate(charges):
+        accumulated = accumulated - charge * primitive[:, nucleus]
+    return _contracted_sum(pairs.first * pairs.second * accumulated)
+
+
+def _contracted_eri(bra: _PrimitivePairs, ket: _PrimitivePairs) -> np.ndarray:
+    """(ab|cd) for quartets sharing one angular signature, one per row.
+
+    Arrays run over (quartet, bra primitive pair, ket primitive pair).
+    Every step replays the scalar per-primitive loop's floating-point
+    order, so the result is bit-identical to it: the Hermite sum adds
+    term by term in (t, u, v, tau, nu, phi) order, and the contraction
+    sums primitive quartets left to right.  The scalar loop skipped
+    exact-zero E products; adding their signed-zero terms instead changes
+    nothing, because a sum started at +0.0 is never -0.0.
+    """
+    p = bra.exponent[:, :, None]
+    q = ket.exponent[:, None, :]
+    omega = p * q / (p + q)
+    pq = [bra.center[:, axis, :, None] - ket.center[:, axis, None, :] for axis in range(3)]
+    r = _hermite_coulomb(omega, pq)
+    e_bra = [e[:, :, :, None] for e in bra.hermite]
+    e_ket = [e[:, :, None, :] for e in ket.hermite]
+    kets = [
+        (tau, nu, phi, e_ket[0][:, tau] * e_ket[1][:, nu] * e_ket[2][:, phi])
+        for tau in range(e_ket[0].shape[1])
+        for nu in range(e_ket[1].shape[1])
+        for phi in range(e_ket[2].shape[1])
+    ]
+    value = np.zeros(omega.shape)
+    for t in range(e_bra[0].shape[1]):
+        for u in range(e_bra[1].shape[1]):
+            for v in range(e_bra[2].shape[1]):
+                e = e_bra[0][:, t] * e_bra[1][:, u] * e_bra[2][:, v]
+                for tau, nu, phi, f in kets:
+                    term = e * f
+                    if (tau + nu + phi) % 2:
+                        term = -term  # exact, like the scalar ``* (-1.0)``
+                    value = value + term * r(t + tau, u + nu, v + phi)
+    prefactor = bra.prefactor[:, :, None] * ket.prefactor[:, None, :]
+    primitive = _ERI_CONSTANT / (p * q * np.sqrt(p + q)) * prefactor * value
+    weight = (bra.first * bra.second)[:, :, None] * ket.first[:, None, :] * ket.second[:, None, :]
+    return _contracted_sum(weight * primitive)
+
+
+def _electron_repulsion(basis: list[BasisFunction]) -> np.ndarray:
+    """The (pq|rs) tensor, one batched kernel call per angular signature."""
+    n = len(basis)
+    tables = _pair_tables(basis, [(i, j) for i in range(n) for j in range(i + 1)])
+    pair_key: dict[tuple[int, int], tuple[tuple, int]] = {}
+    for key, (members, _) in tables.items():
+        for row, pair in enumerate(members):
+            pair_key[pair] = key, row
+
+    # Unique quartets under the 8-fold symmetry, grouped by signature.
+    groups: dict[tuple, list[tuple[int, int, int, int]]] = {}
+    for p in range(n):
+        for q in range(p + 1):
+            for r in range(p + 1):
+                s_max = q if r == p else r
+                for s in range(s_max + 1):
+                    key = (pair_key[p, q][0], pair_key[r, s][0])
+                    groups.setdefault(key, []).append((p, q, r, s))
+
+    eri = np.zeros((n, n, n, n))
+    for (bra_key, ket_key), quartets in groups.items():
+        p, q, r, s = np.array(quartets).T
+        bra_rows = [pair_key[i, j][1] for i, j in zip(p, q)]
+        ket_rows = [pair_key[i, j][1] for i, j in zip(r, s)]
+        values = _contracted_eri(
+            tables[bra_key][1].take(bra_rows), tables[ket_key][1].take(ket_rows)
+        )
+        for i, j, k, l in (
+            (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+            (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
+        ):
+            eri[i, j, k, l] = values
+    return eri
 
 
 @dataclass
@@ -372,37 +491,28 @@ def compute_integrals(
 ) -> IntegralTables:
     """Evaluate S, T, V and (pq|rs) over the contracted basis.
 
-    Uses the 8-fold permutational symmetry of the ERI tensor; STO-3G
-    molecule sizes here (<= 10 AOs) keep this comfortably fast.
+    The ERIs are evaluated once per quartet that is unique under the
+    8-fold permutational symmetry, in batches of one angular signature
+    over all primitive quartets (see :func:`_contracted_eri`).
     """
     n = len(basis)
     overlap = np.zeros((n, n))
     kinetic = np.zeros((n, n))
-    nuclear = np.zeros((n, n))
     for p in range(n):
         for q in range(p, n):
             overlap[p, q] = overlap[q, p] = _overlap_contracted(basis[p], basis[q])
             kinetic[p, q] = kinetic[q, p] = _kinetic_contracted(basis[p], basis[q])
-            value = _nuclear_contracted(basis[p], basis[q], charges, coordinates_bohr)
-            nuclear[p, q] = nuclear[q, p] = value
-
-    eri = np.zeros((n, n, n, n))
-    for p in range(n):
-        for q in range(p + 1):
-            for r in range(p + 1):
-                s_max = q if r == p else r
-                for s in range(s_max + 1):
-                    value = _eri_contracted(basis[p], basis[q], basis[r], basis[s])
-                    for (i, j, k, l) in {
-                        (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
-                        (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
-                    }:
-                        eri[i, j, k, l] = value
+    nuclear = np.zeros((n, n))
+    nuclei = np.asarray(coordinates_bohr, dtype=float)
+    upper = [(p, q) for p in range(n) for q in range(p, n)]
+    for members, pairs in _pair_tables(basis, upper).values():
+        p, q = np.array(members).T
+        nuclear[p, q] = nuclear[q, p] = _nuclear_attraction(pairs, charges, nuclei)
 
     return IntegralTables(
         overlap=overlap,
         kinetic=kinetic,
         nuclear=nuclear,
-        eri=eri,
+        eri=_electron_repulsion(basis),
         nuclear_repulsion=nuclear_repulsion(charges, coordinates_bohr),
     )

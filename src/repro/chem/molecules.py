@@ -161,6 +161,12 @@ _BUILDERS = {
 BENCHMARK_MOLECULES = ["H2", "LiH", "NaH", "HF", "BeH2", "H2O", "BH3", "NH3", "CH4"]
 
 
+def check_bond_length(bond_length: float) -> None:
+    """Reject a bond length (Angstrom) that is not finite and positive."""
+    if not math.isfinite(bond_length) or bond_length <= 0:
+        raise ValueError(f"bond_length must be finite and positive, got {bond_length!r}")
+
+
 def molecule_by_name(name: str, bond_length: float | None = None) -> Molecule:
     """Build a benchmark molecule, at its equilibrium length by default."""
     try:
@@ -171,6 +177,5 @@ def molecule_by_name(name: str, bond_length: float | None = None) -> Molecule:
         ) from None
     if bond_length is None:
         bond_length = builder(1.0).equilibrium_bond_length
-    if bond_length <= 0:
-        raise ValueError("bond length must be positive")
+    check_bond_length(bond_length)
     return builder(bond_length)

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.chem.hamiltonian import MolecularProblem, build_molecule_hamiltonian
+from repro.chem.molecules import check_bond_length
 from repro.core.compression import CompressedAnsatz, compress_ansatz
 from repro.hardware.coupling import CouplingGraph
 
@@ -121,6 +122,19 @@ class PipelineConfig:
     decay_base: float = 2.0
     seed: int = 11
     label: str | None = None
+
+    def __post_init__(self) -> None:
+        """Range-check the numeric fields, naming the field on failure."""
+        if not 0.0 < self.ratio <= 1.0:
+            raise ValueError(f"ratio must be in (0, 1], got {self.ratio!r}")
+        for name in ("trajectories", "qaoa_layers"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        if not self.decay_base > 1.0:
+            raise ValueError(f"decay_base must exceed 1, got {self.decay_base!r}")
+        if self.bond_length is not None:
+            check_bond_length(self.bond_length)
 
     def describe(self) -> str:
         if self.label:

@@ -28,7 +28,6 @@ class TestEnergies:
         result, _ = rhf_for("H2O", 0.958)
         assert result.energy == pytest.approx(-74.963, abs=1e-2)
 
-    @pytest.mark.slow
     def test_nah_energy_matches_literature(self):
         result, _ = rhf_for("NaH", 1.887)
         assert result.energy == pytest.approx(-160.31, abs=5e-2)

@@ -1,11 +1,31 @@
 """Tests for molecule geometries, active spaces and qubit Hamiltonians."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.ansatz.uccsd import build_uccsd_program
 from repro.chem import build_molecule_hamiltonian, molecule_by_name
 from repro.chem.molecules import BENCHMARK_MOLECULES
+from repro.core.importance import parameter_importance
 from repro.sim import ground_state_energy
+
+#: Per molecule at equilibrium: (qubit-Hamiltonian digest, Alg. 1
+#: importance-order digest), both sha256 prefixes.  Recorded from the
+#: scalar per-primitive ERI loop; any change to the chemistry substrate's
+#: floating-point results shows up here.
+PINNED_DIGESTS = {
+    "H2": ("a429296290c6e5c7", "cea67d8b58d72bb9"),
+    "LiH": ("18e9344cd3b6ebbe", "7257253b393ef4f5"),
+    "NaH": ("bb9f79ca9b4c7afa", "a602643d49fdd000"),
+    "HF": ("47a8de5641e917c0", "d266b290d9164d23"),
+    "BeH2": ("46f8d47e852e4b88", "1b020cb90ae6f41a"),
+    "H2O": ("c22694cf1dcd3621", "908b01faddc1e08f"),
+    "BH3": ("df6740c391c82b9f", "8a7aa8d92539f942"),
+    "NH3": ("1f190cfd4c45ca53", "95f60aabea367957"),
+    "CH4": ("90438fe6f869c12f", "df90decb1ee5eeb0"),
+}
 
 
 class TestGeometries:
@@ -21,6 +41,13 @@ class TestGeometries:
     def test_nonpositive_bond_length_rejected(self):
         with pytest.raises(ValueError):
             molecule_by_name("H2", -0.5)
+
+    @pytest.mark.parametrize("bond_length", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_bond_length_rejected(self, bond_length):
+        with pytest.raises(ValueError, match="bond_length"):
+            molecule_by_name("H2", bond_length)
+        with pytest.raises(ValueError, match="bond_length"):
+            build_molecule_hamiltonian("H2", bond_length)
 
     def test_equilibrium_default(self):
         molecule = molecule_by_name("H2O")
@@ -107,6 +134,28 @@ class TestQubitHamiltonians:
         }
         assert energies[0.735] < energies[0.5]
         assert energies[0.735] < energies[1.6]
+
+
+class TestPinnedDigests:
+    """Hamiltonian terms and the importance order, pinned per molecule.
+
+    The Hamiltonian digest hashes the term keys in insertion order with
+    coefficients at 12 significant digits.  The importance digest hashes
+    the full stable descending order Compress keeps a prefix of, so it
+    catches a one-ulp tie flip the rounded coefficients cannot show.
+    """
+
+    @pytest.mark.parametrize("name", BENCHMARK_MOLECULES)
+    def test_hamiltonian_and_importance_order(self, name):
+        problem = build_molecule_hamiltonian(name)
+        terms = hashlib.sha256()
+        for (x, z), c in problem.hamiltonian.items():
+            terms.update(f"{x},{z}:{c.real:.12g},{c.imag:.12g}\n".encode())
+        program = build_uccsd_program(problem).program
+        importance = parameter_importance(program, problem.hamiltonian)
+        order = np.argsort(-importance, kind="stable")
+        ranks = hashlib.sha256(",".join(map(str, order.tolist())).encode())
+        assert (terms.hexdigest()[:16], ranks.hexdigest()[:16]) == PINNED_DIGESTS[name]
 
 
 class TestActiveSpaceErrors:

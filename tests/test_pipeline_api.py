@@ -353,6 +353,39 @@ class TestResultSerialization:
         )
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ratio", 0.0),
+            ("ratio", -0.5),
+            ("ratio", 1.5),
+            ("ratio", float("nan")),
+            ("trajectories", 0),
+            ("trajectories", -3),
+            ("qaoa_layers", 0),
+            ("decay_base", 1.0),
+            ("decay_base", 0.5),
+            ("decay_base", float("nan")),
+            ("bond_length", 0.0),
+            ("bond_length", -1.2),
+            ("bond_length", float("nan")),
+            ("bond_length", float("inf")),
+        ],
+    )
+    def test_out_of_range_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig.from_dict({**PipelineConfig().to_dict(), field: value})
+
+    def test_boundary_values_accepted(self):
+        config = PipelineConfig(
+            ratio=1.0, trajectories=1, qaoa_layers=1, decay_base=1.5, bond_length=0.7
+        )
+        assert PipelineConfig.from_dict(config.to_dict()) == config
+
+
 class TestVQEBackendRegistry:
     def test_unknown_backend_lists_valid_names(self):
         problem = build_molecule_hamiltonian("H2")
