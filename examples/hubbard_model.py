@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.ansatz.excitations import generate_excitations
 from repro.chem.hubbard import hubbard_hamiltonian
-from repro.chem.jordan_wigner import jordan_wigner
+from repro.chem.jordan_wigner import jordan_wigner_batch
 from repro.compiler import MergeToRootCompiler
 from repro.core import compress_ansatz
 from repro.core.ir import IRTerm, PauliProgram
@@ -27,8 +27,8 @@ def hubbard_ansatz(num_sites: int, num_up: int, num_down: int) -> PauliProgram:
     num_qubits = 2 * num_sites
     terms = []
     excitations = generate_excitations(num_sites, num_up, num_down)
-    for parameter, excitation in enumerate(excitations):
-        generator = jordan_wigner(excitation.generator(), num_qubits)
+    generators = jordan_wigner_batch([e.generator() for e in excitations], num_qubits)
+    for parameter, generator in enumerate(generators):
         for coefficient, pauli in generator:
             terms.append(IRTerm(pauli, float(coefficient.imag), parameter))
     occupations = list(range(num_up)) + [num_sites + i for i in range(num_down)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.ansatz.excitations import Excitation, generate_excitations
 from repro.chem.hamiltonian import MolecularProblem
-from repro.chem.jordan_wigner import jordan_wigner
+from repro.chem.jordan_wigner import jordan_wigner_batch
 from repro.core.ir import IRTerm, PauliProgram
 from repro.pauli import PauliSum
 
@@ -46,10 +46,16 @@ def build_uccsd_program(problem: MolecularProblem) -> UCCSDAnsatz:
     excitations = generate_excitations(
         problem.num_spatial_orbitals, problem.num_alpha, problem.num_beta
     )
+    # One batched Jordan-Wigner call: the kernel's cost is per call, not
+    # per generator.
+    qubit_generators = jordan_wigner_batch(
+        [excitation.generator() for excitation in excitations], num_qubits
+    )
     terms: list[IRTerm] = []
     generators: list[PauliSum] = []
-    for parameter_index, excitation in enumerate(excitations):
-        qubit_generator = jordan_wigner(excitation.generator(), num_qubits)
+    for parameter_index, (excitation, qubit_generator) in enumerate(
+        zip(excitations, qubit_generators)
+    ):
         # T - T+ is anti-Hermitian: all coefficients purely imaginary.
         hermitian = PauliSum.zero(num_qubits)
         for coefficient, pauli in qubit_generator:

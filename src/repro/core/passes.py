@@ -124,7 +124,23 @@ class PipelineConfig:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        """Range-check the numeric fields, naming the field on failure."""
+        """Check the closed-set and numeric fields, naming the field on failure."""
+        from repro.compiler.fusion import FUSION_LEVELS
+        from repro.sim.backend import available_array_backends
+        from repro.sim.statevector import ENGINES
+
+        for name, kind, choices in (
+            ("engine", "simulation engine", ENGINES),
+            ("fusion", "fusion level", FUSION_LEVELS),
+            ("layout", "layout scheme", LAYOUT_SCHEMES),
+            ("array_backend", "array backend", available_array_backends()),
+        ):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(
+                    f"{name}={value!r} is not a known {kind}; "
+                    f"choose one of {', '.join(map(repr, choices))}"
+                )
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {self.ratio!r}")
         for name in ("trajectories", "qaoa_layers"):

@@ -245,3 +245,11 @@ def mask_words(masks: Sequence[int], num_qubits: int) -> np.ndarray:
             count=len(masks),
         )
     return table
+
+
+def masks_from_words(table: np.ndarray) -> list[int]:
+    """Integer bitmasks of a word-major ``(W, K)`` table; inverse of :func:`mask_words`."""
+    masks = table[0].tolist()
+    for word in range(1, len(table)):
+        masks = [mask | (high << (64 * word)) for mask, high in zip(masks, table[word].tolist())]
+    return masks

@@ -2,12 +2,40 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.ansatz.excitations import generate_excitations
+from repro.chem import build_molecule_hamiltonian
 from repro.chem.fermion import FermionOperator
-from repro.chem.jordan_wigner import jordan_wigner, ladder_operator
+from repro.chem.hamiltonian import fermionic_hamiltonian
+from repro.chem.jordan_wigner import jordan_wigner, jordan_wigner_batch, ladder_operator
+from repro.chem.molecules import BENCHMARK_MOLECULES
 from repro.pauli import PauliSum
+
+
+def scalar_jordan_wigner(operator: FermionOperator, num_qubits: int | None = None) -> PauliSum:
+    """Oracle: the per-term compose loop the batched kernel replaced."""
+    if num_qubits is None:
+        num_qubits = operator.max_orbital() + 1
+        if num_qubits <= 0:
+            raise ValueError("cannot infer qubit count from a scalar operator")
+    result = PauliSum.zero(num_qubits)
+    for coefficient, ladder in operator:
+        term = PauliSum.identity(num_qubits, coefficient)
+        for orbital, creation in ladder:
+            term = term @ ladder_operator(num_qubits, orbital, creation)
+        result.add_sum(term)
+    return result.chop()
+
+
+def assert_same_bits(batched: PauliSum, scalar: PauliSum) -> None:
+    """Equal key sets and equal coefficient bit patterns, signed zeros included."""
+    assert batched.num_qubits == scalar.num_qubits
+    got, want = dict(batched.items()), dict(scalar.items())
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert np.complex128(got[key]).tobytes() == np.complex128(value).tobytes(), key
 
 
 class TestFermionOperator:
@@ -149,3 +177,116 @@ class TestHubbard:
 
         with pytest.raises(ValueError):
             hubbard_hamiltonian(1)
+
+
+def _ladders(num_qubits: int):
+    # Orbitals from a small pool most of the time, so repeats are common.
+    pool = st.sampled_from(sorted({0, min(1, num_qubits - 1), num_qubits // 2, num_qubits - 1}))
+    orbital = st.one_of(pool, st.integers(0, num_qubits - 1))
+    return st.lists(st.tuples(orbital, st.booleans()), max_size=6).map(tuple)
+
+
+_coefficients = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _operator_batches(draw):
+    """``(num_qubits, [{ladder: coefficient}, ...])`` for one to three operators."""
+    num_qubits = draw(st.integers(1, 130))
+    term_dicts = st.dictionaries(_ladders(num_qubits), _coefficients, max_size=5)
+    return num_qubits, draw(st.lists(term_dicts, min_size=1, max_size=3))
+
+
+class TestBatchedJordanWignerOracle:
+    """The batched kernel against the compose loop, bit for bit."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_MOLECULES)
+    def test_molecular_hamiltonian(self, name):
+        problem = build_molecule_hamiltonian(name)
+        operator = fermionic_hamiltonian(problem.active_integrals)
+        expected = scalar_jordan_wigner(operator, problem.num_qubits)
+        assert_same_bits(jordan_wigner(operator, problem.num_qubits), expected)
+        assert_same_bits(problem.hamiltonian, expected)
+
+    @pytest.mark.parametrize("name", BENCHMARK_MOLECULES)
+    def test_uccsd_generators_in_one_call(self, name):
+        problem = build_molecule_hamiltonian(name)
+        generators = [
+            excitation.generator()
+            for excitation in generate_excitations(
+                problem.num_spatial_orbitals, problem.num_alpha, problem.num_beta
+            )
+        ]
+        batched = jordan_wigner_batch(generators, problem.num_qubits)
+        assert len(batched) == len(generators)
+        for generator, qubit_generator in zip(generators, batched):
+            assert_same_bits(qubit_generator, scalar_jordan_wigner(generator, problem.num_qubits))
+
+    def test_hubbard_problem(self, monkeypatch):
+        from repro.chem import hubbard
+        from repro.problems import get_problem
+
+        batched = get_problem("hubbard:4").hamiltonian
+        monkeypatch.setattr(hubbard, "jordan_wigner", scalar_jordan_wigner)
+        assert_same_bits(batched, get_problem("hubbard:4").hamiltonian)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_operator_batches())
+    @example((4, [{((1, True), (1, False)): 1.0}]))  # a_p+ a_p
+    @example((4, [{((2, True), (2, True)): 0.7 - 0.2j}]))  # a_p+ a_p+ = 0
+    @example((3, [{(): 2.5}]))  # identity only
+    @example((1, [{(): 1.2711610061536462e308 + 1.2711610061536464e308j}]))  # abs() overflows
+    @example((64, [{((63, True), (0, False)): 1.0, ((63, False),): -0.5j}]))
+    @example((65, [{((64, True), (63, False), (0, True), (64, False)): 0.3}]))
+    # An orbital three times: the kernel must merge where the loop merges.
+    @example(
+        (3, [{((0, False), (2, True), (0, True), (1, False), (0, False), (1, True)): 0.7}])
+    )
+    def test_random_operators(self, case):
+        num_qubits, term_dicts = case
+        operators = [FermionOperator(terms) for terms in term_dicts]
+        expected = []
+        for operator in operators:
+            try:
+                expected.append(scalar_jordan_wigner(operator, num_qubits))
+            except OverflowError:
+                # chop()'s abs() of a coefficient near the float maximum:
+                # the batched path must raise the same way.
+                with pytest.raises(OverflowError):
+                    jordan_wigner_batch(operators, num_qubits)
+                return
+        batched = jordan_wigner_batch(operators, num_qubits)
+        for operator, qubit_operator, want in zip(operators, batched, expected):
+            assert_same_bits(qubit_operator, want)
+            assert_same_bits(jordan_wigner(operator, num_qubits), want)
+
+    def test_inferred_qubit_count_per_operator(self):
+        operators = [FermionOperator.number(1), FermionOperator.from_term([(4, True), (0, False)])]
+        batched = jordan_wigner_batch(operators)
+        assert [op.num_qubits for op in batched] == [2, 5]
+        for operator, qubit_operator in zip(operators, batched):
+            assert_same_bits(qubit_operator, scalar_jordan_wigner(operator))
+
+    def test_empty_inputs(self):
+        assert jordan_wigner_batch([], 3) == []
+        assert len(jordan_wigner(FermionOperator.zero(), 3)) == 0
+
+
+class TestJordanWignerErrors:
+    @pytest.mark.parametrize("orbital", [4, 7, -1])
+    def test_orbital_out_of_range_is_located(self, orbital):
+        bad = FermionOperator.from_term([(orbital, True), (0, False)])
+        message = f"orbital {orbital} out of range for 4 qubits"
+        with pytest.raises(ValueError, match=message):
+            jordan_wigner(bad, 4)
+        with pytest.raises(ValueError, match=message):
+            jordan_wigner_batch([FermionOperator.number(1), bad], 4)
+        with pytest.raises(ValueError, match=message):
+            scalar_jordan_wigner(bad, 4)
+
+    def test_scalar_operator_cannot_infer_size_in_a_batch(self):
+        with pytest.raises(ValueError, match="cannot infer qubit count"):
+            jordan_wigner_batch([FermionOperator.number(1), FermionOperator.identity(2.0)])

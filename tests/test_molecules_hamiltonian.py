@@ -13,8 +13,9 @@ from repro.sim import ground_state_energy
 
 #: Per molecule at equilibrium: (qubit-Hamiltonian digest, Alg. 1
 #: importance-order digest), both sha256 prefixes.  Recorded from the
-#: scalar per-primitive ERI loop; any change to the chemistry substrate's
-#: floating-point results shows up here.
+#: scalar per-primitive ERI loop and the per-term Jordan-Wigner compose
+#: loop; any change to the chemistry substrate's floating-point results
+#: shows up here.
 PINNED_DIGESTS = {
     "H2": ("a429296290c6e5c7", "cea67d8b58d72bb9"),
     "LiH": ("18e9344cd3b6ebbe", "7257253b393ef4f5"),
@@ -139,10 +140,14 @@ class TestQubitHamiltonians:
 class TestPinnedDigests:
     """Hamiltonian terms and the importance order, pinned per molecule.
 
-    The Hamiltonian digest hashes the term keys in insertion order with
-    coefficients at 12 significant digits.  The importance digest hashes
-    the full stable descending order Compress keeps a prefix of, so it
-    catches a one-ulp tie flip the rounded coefficients cannot show.
+    The Hamiltonian digest hashes the term keys in sorted (x, z) order,
+    as ``PauliSum.items()`` yields them, with coefficients at 12
+    significant digits.  Insertion order is unobservable there, which is
+    why the batched Jordan-Wigner kernel may emit terms in sorted order.
+    The importance digest hashes the full stable descending order
+    Compress keeps a prefix of, so it catches a one-ulp tie flip the
+    rounded coefficients cannot show.  Together they guard the integrals
+    and the Jordan-Wigner kernel alike.
     """
 
     @pytest.mark.parametrize("name", BENCHMARK_MOLECULES)

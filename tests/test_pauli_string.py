@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pauli import PauliString
+from repro.pauli.pauli_string import mask_words, masks_from_words
 
 # Single-qubit Pauli matrices for cross-checking.
 I2 = np.eye(2, dtype=complex)
@@ -146,3 +147,15 @@ class TestMatrix:
     def test_matrix_limit(self):
         with pytest.raises(ValueError):
             PauliString.identity(20).to_matrix()
+
+
+class TestMaskWords:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 200).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    ))
+    def test_masks_from_words_inverts_mask_words(self, case):
+        num_qubits, masks = case
+        table = mask_words(masks, num_qubits)
+        assert table.shape == (max(1, -(-num_qubits // 64)), len(masks))
+        assert masks_from_words(table) == masks

@@ -27,11 +27,22 @@ from repro.core import (
     run_batch,
     save_batch,
 )
-from repro.core.passes import BuildAnsatz, BuildProblem, Compress
+from repro.compiler.fusion import FUSION_LEVELS
+from repro.core.passes import LAYOUT_SCHEMES, BuildAnsatz, BuildProblem, Compress
 from repro.hardware.coupling import CouplingGraph
 from repro.hardware.registry import get_device, list_devices, register_device
 from repro.hardware.xtree import xtree
+from repro.sim.backend import available_array_backends
+from repro.sim.statevector import ENGINES
 from repro.vqe.runner import VQE, VQEResult, available_backends
+
+#: PipelineConfig's closed-set string fields and their accepted values.
+CLOSED_SETS = {
+    "engine": ENGINES,
+    "fusion": FUSION_LEVELS,
+    "layout": LAYOUT_SCHEMES,
+    "array_backend": available_array_backends(),
+}
 
 
 def _legacy_flow(molecule: str, ratio: float):
@@ -378,6 +389,23 @@ class TestConfigValidation:
             PipelineConfig(**{field: value})
         with pytest.raises(ValueError, match=field):
             PipelineConfig.from_dict({**PipelineConfig().to_dict(), field: value})
+
+    @pytest.mark.parametrize("field", sorted(CLOSED_SETS))
+    def test_unknown_choice_rejected_with_the_choices(self, field):
+        for build in (
+            lambda: PipelineConfig(**{field: "nope"}),
+            lambda: PipelineConfig.from_dict({**PipelineConfig().to_dict(), field: "nope"}),
+        ):
+            with pytest.raises(ValueError, match=field) as excinfo:
+                build()
+            message = str(excinfo.value)
+            assert "'nope'" in message
+            assert all(repr(choice) in message for choice in CLOSED_SETS[field])
+
+    @pytest.mark.parametrize("field", sorted(CLOSED_SETS))
+    def test_every_listed_choice_accepted(self, field):
+        for choice in CLOSED_SETS[field]:
+            assert getattr(PipelineConfig(**{field: choice}), field) == choice
 
     def test_boundary_values_accepted(self):
         config = PipelineConfig(
