@@ -36,7 +36,7 @@ from typing import Any, Iterable, Iterator
 
 from repro.analysis.diagnostics import Check, Diagnostic, register_check
 from repro.circuit.circuit import Circuit
-from repro.circuit.dag import CircuitDAG
+from repro.circuit.dag import CircuitDAG, dependency_edges
 from repro.circuit.gates import Gate, _MATRIX_BUILDERS
 from repro.compiler.fusion import FUSION_LEVELS, FusionPlan
 from repro.core.ir import PauliProgram
@@ -327,10 +327,11 @@ class DagInvariantCheck(Check):
 
     Checks predecessor/successor symmetry, forward-pointing edges (the
     append order must be a topological order), per-wire membership, and
-    -- via canonical reconstruction from the gate sequence -- that the
-    edge set is exactly the one the builder's wire/commutation rules
-    imply (a missing edge is an unsound commute-edge; an extra edge is a
-    lost parallelism bug that corrupts scheduling metrics).
+    -- via the canonical derivation from the gate sequence
+    (:func:`repro.circuit.dag.dependency_edges`) -- that the edge set is
+    exactly the one the builder's wire/commutation rules imply (a missing
+    edge is an unsound commute-edge; an extra edge is a lost parallelism
+    bug that corrupts scheduling metrics).
     """
 
     name = "dag-invariants"
@@ -385,13 +386,14 @@ class DagInvariantCheck(Check):
                         fix_hint="wires may only hold gates acting on them",
                     )
         if not sound:
-            return  # reconstruction diff would repeat the same findings
-        reference = CircuitDAG(dag.num_qubits, commute=dag.commute)
+            return  # the edge diff would repeat the same findings
         try:
-            reference.extend(dag.topological_gates())
+            expected = dependency_edges(
+                dag.topological_gates(), dag.num_qubits, commute=dag.commute
+            )
         except ValueError:
             return  # out-of-range gates are qubit-bounds findings
-        actual, expected = _edge_set(dag), _edge_set(reference)
+        actual = _edge_set(dag)
         for a, b in sorted(expected - actual):
             yield self.error(
                 f"missing dependency edge {a} -> {b}: the builder's "

@@ -91,15 +91,15 @@ class Circuit:
         return self.counts().get("swap", 0)
 
     def depth(self) -> int:
-        """Circuit depth: the DAG critical path in gate counts.
+        """Circuit depth: the critical path in gate counts.
 
-        Thin wrapper over :meth:`repro.circuit.dag.CircuitDAG.depth`;
-        barriers and measurements take no levels (but do synchronize
-        their wires).
+        One per-wire ASAP pass (:func:`repro.circuit.dag.wire_schedule`),
+        equal to :meth:`repro.circuit.dag.CircuitDAG.depth`; barriers and
+        measurements take no levels (but do synchronize their wires).
         """
-        from repro.circuit.dag import CircuitDAG
+        from repro.circuit.dag import wire_schedule
 
-        return CircuitDAG.from_circuit(self).depth()
+        return wire_schedule(self)[0]
 
     def two_qubit_pairs(self) -> list[tuple[int, int]]:
         """Ordered list of interacting qubit pairs (for mapping analysis)."""

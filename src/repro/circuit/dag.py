@@ -2,9 +2,11 @@
 
 Every compiler stage operates on the same dependency structure instead of
 re-deriving private ones: SABRE's front layer and lookahead window, the
-peephole cancellation pass, Merge-to-Root's emission, and the scheduling
-metrics (ASAP depth, critical-path duration) all consume a
-:class:`CircuitDAG`.
+peephole cancellation pass and Merge-to-Root's emission all consume a
+:class:`CircuitDAG`.  Two linear passes apply the same rules without
+building nodes: :func:`wire_schedule` (ASAP depth and critical-path
+duration of the wire-dependency DAG) and :func:`dependency_edges` (the
+edge set the builder wires, which the static DAG check compares against).
 
 The DAG is built by O(1) appends.  Each gate node records, per qubit it
 touches, how it acts on that wire:
@@ -37,7 +39,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.gates import Gate
+from repro.circuit.gates import CNOT, Gate
 
 #: Gates acting Z-like (computational-basis diagonal) on all their qubits.
 _Z_LIKE = {"z", "s", "sdg", "rz", "cz"}
@@ -58,6 +60,120 @@ def gate_axes(gate: Gate) -> tuple[str | None, ...]:
     if gate.name == "cx":
         return ("Z", "X")
     return (None,) * len(gate.qubits)
+
+
+def _check_qubits(gate: Gate, num_qubits: int) -> None:
+    for qubit in gate.qubits:
+        if not 0 <= qubit < num_qubits:
+            raise ValueError(
+                f"gate {gate!r} touches qubit {qubit}, DAG has {num_qubits}"
+            )
+
+
+def dependency_edges(
+    gates: Iterable[Gate], num_qubits: int, *, commute: bool = False
+) -> set[tuple[int, int]]:
+    """The ``(predecessor, node)`` index pairs :meth:`CircuitDAG.append`
+    wires when ``gates`` are appended in order, without building nodes.
+
+    The same rule as the builder, on integer bookkeeping: per wire, the
+    member indices of the trailing commuting group and of the group
+    before it, and the group's shared axis.  A gate joining the trailing
+    group depends on the group before it; any other gate depends on the
+    trailing group and opens a new one.  Raises ``ValueError`` for a gate
+    outside the register, as the builder does.
+    """
+    last: list[list[int]] = [[] for _ in range(num_qubits)]
+    previous: list[list[int]] = [[] for _ in range(num_qubits)]
+    last_axis: list[str | None] = [None] * num_qubits
+    edges: set[tuple[int, int]] = set()
+    add = edges.add
+    for index, gate in enumerate(gates):
+        _check_qubits(gate, num_qubits)
+        axes = gate_axes(gate) if commute else (None,) * len(gate.qubits)
+        for qubit, axis in zip(gate.qubits, axes):
+            members = last[qubit]
+            if axis is not None and members and last_axis[qubit] == axis:
+                for member in previous[qubit]:
+                    add((member, index))
+                members.append(index)
+            else:
+                for member in members:
+                    add((member, index))
+                previous[qubit] = members
+                last[qubit] = [index]
+                last_axis[qubit] = axis
+    return edges
+
+
+#: Gates that take no schedule level (but still synchronize their wires).
+_UNTIMED = ("barrier", "measure")
+
+
+def wire_schedule(
+    circuit: Circuit, duration: Callable[[Gate], float] | None = None
+) -> tuple[int, int, float]:
+    """One per-wire ASAP pass: ``(depth, scheduled_depth, duration)``.
+
+    Without commutation edges a gate's predecessors are exactly the last
+    gate on each of its wires, so a finish time per wire gives the same
+    numbers as the critical-path walk of the wire-dependency DAG
+    (:meth:`CircuitDAG.depth` / :meth:`CircuitDAG.duration` with
+    ``commute=False``), bit for bit:
+
+    * ``depth`` counts the gates as listed, a SWAP one level;
+    * ``scheduled_depth`` counts a SWAP as its three CNOTs
+      (:meth:`Circuit.decompose_swaps`);
+    * ``duration`` adds ``duration(CNOT)`` for each of those CNOTs in
+      decomposition order (``0.0`` when ``duration`` is None).
+
+    Barriers and measurements take zero levels but still synchronize
+    their wires.  Gate durations are assumed non-negative: every wire's
+    clock starts at zero.
+    """
+    level = [0] * circuit.num_qubits
+    cnot_level = [0] * circuit.num_qubits
+    clock = [0.0] * circuit.num_qubits
+    depth = scheduled_depth = 0
+    total = 0.0
+    for gate in circuit.gates:
+        qubits = gate.qubits
+        step = 0 if gate.name in _UNTIMED else 1
+        if len(qubits) == 1:
+            (qubit,) = qubits
+            finish = level[qubit] + step
+            cnot_finish = cnot_level[qubit] + step
+            time = clock[qubit]
+        elif len(qubits) == 2:
+            a, b = qubits
+            finish = max(level[a], level[b]) + step
+            cnot_finish = max(cnot_level[a], cnot_level[b])
+            cnot_finish += 3 if gate.name == "swap" else step
+            time = max(clock[a], clock[b])
+        else:
+            finish = max([level[q] for q in qubits], default=0) + step
+            cnot_finish = max([cnot_level[q] for q in qubits], default=0) + step
+            time = max([clock[q] for q in qubits], default=0.0)
+        if finish > depth:
+            depth = finish
+        if cnot_finish > scheduled_depth:
+            scheduled_depth = cnot_finish
+        if duration is not None:
+            if gate.name == "swap":
+                a, b = qubits
+                for cnot in (CNOT(a, b), CNOT(b, a), CNOT(a, b)):
+                    time += duration(cnot)
+                    if time > total:
+                        total = time
+            else:
+                time += duration(gate)
+                if time > total:
+                    total = time
+        for qubit in qubits:
+            level[qubit] = finish
+            cnot_level[qubit] = cnot_finish
+            clock[qubit] = time
+    return depth, scheduled_depth, total
 
 
 class DAGNode:
@@ -123,11 +239,7 @@ class CircuitDAG:
 
     def append(self, gate: Gate) -> "CircuitDAG":
         """O(1) append of one gate, wiring its dependency edges."""
-        for qubit in gate.qubits:
-            if not 0 <= qubit < self.num_qubits:
-                raise ValueError(
-                    f"gate {gate!r} touches qubit {qubit}, DAG has {self.num_qubits}"
-                )
+        _check_qubits(gate, self.num_qubits)
         node = DAGNode(len(self.nodes), gate)
         axes = gate_axes(gate) if self.commute else (None,) * len(gate.qubits)
         predecessors: dict[int, DAGNode] = {}

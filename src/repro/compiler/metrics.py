@@ -3,9 +3,8 @@
 "Mapping overhead" = CNOTs added on top of the unmapped chain-synthesized
 circuit.  Every SWAP contributes three CNOTs.  The module also provides a
 one-call comparison of the three flows the paper tabulates, plus the
-scheduling dimension the shared DAG IR opens up: ASAP-scheduled depth and
-latency-weighted critical-path duration
-(:func:`schedule_report`, per-gate latencies from
+scheduling dimension: ASAP-scheduled depth and latency-weighted
+critical-path duration (:func:`schedule_report`, per-gate latencies from
 :mod:`repro.hardware.latency`).
 """
 
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.dag import CircuitDAG
+from repro.circuit.dag import wire_schedule
 from repro.compiler.merge_to_root import MergeToRootCompiler
 from repro.compiler.sabre import SabreRouter
 from repro.compiler.synthesis import synthesize_program_chain
@@ -29,10 +28,11 @@ class ScheduleReport:
     """ASAP-schedule metrics of one physical circuit.
 
     ``depth`` counts the listed circuit as-is (SWAPs one level each);
-    ``scheduled_depth`` and ``duration_ns`` are computed on the
-    SWAP-decomposed circuit's wire-dependency DAG, so a routing SWAP
-    costs three CNOT levels / latencies, matching the paper's CNOT
-    accounting.
+    ``scheduled_depth`` and ``duration_ns`` count each routing SWAP as
+    its three CNOTs (three levels / latencies), matching the paper's CNOT
+    accounting.  All three come from one per-wire ASAP pass over the
+    gate list (:func:`repro.circuit.dag.wire_schedule`), equal to the
+    critical paths of the wire-dependency DAG.
     """
 
     depth: int
@@ -44,12 +44,9 @@ def schedule_report(
     circuit: Circuit, latency: GateLatencyModel = DEFAULT_LATENCY
 ) -> ScheduleReport:
     """Depth / critical-path metrics of a compiled circuit."""
-    decomposed = circuit.decompose_swaps()
-    dag = CircuitDAG.from_circuit(decomposed)
+    depth, scheduled_depth, duration_ns = wire_schedule(circuit, latency.duration)
     return ScheduleReport(
-        depth=circuit.depth(),
-        scheduled_depth=dag.depth(),
-        duration_ns=dag.duration(latency),
+        depth=depth, scheduled_depth=scheduled_depth, duration_ns=duration_ns
     )
 
 

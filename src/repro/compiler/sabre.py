@@ -85,12 +85,18 @@ class SabreRouter:
         layout = dict(initial_layout) if initial_layout else {
             q: q for q in range(circuit.num_qubits)
         }
-        reversed_circuit = Circuit(circuit.num_qubits, list(reversed(circuit.gates)))
+        # Routing reads the DAGs but never mutates them, so each
+        # direction is built once and shared by every pass.
+        forward = CircuitDAG.from_circuit(circuit, commute=self.commute)
+        backward = CircuitDAG(circuit.num_qubits, commute=self.commute).extend(
+            reversed(circuit.gates)
+        )
         for _ in range(refinement_passes):
             # Forward pass: discard the routed gates, keep the final layout.
-            layout = self._route_once(circuit, layout, emit=False)[1]
-            layout = self._route_once(reversed_circuit, layout, emit=False)[1]
-        routed_dag, final_layout, swaps = self._route_once(circuit, layout, emit=True)
+            layout = self._route_once(forward, layout, emit=False)[1]
+            layout = self._route_once(backward, layout, emit=False)[1]
+        routed_dag, final_layout, swaps = self._route_once(forward, layout, emit=True)
+        assert routed_dag is not None  # emit=True always builds the output DAG
         return SabreResult(
             circuit=routed_dag.to_circuit(),
             initial_layout=layout,
@@ -105,15 +111,14 @@ class SabreRouter:
     # ------------------------------------------------------------------
     def _route_once(
         self,
-        circuit: Circuit,
+        dag: CircuitDAG,
         initial_layout: dict[int, int],
         *,
         emit: bool,
-    ) -> tuple[Circuit | None, dict[int, int], int]:
+    ) -> tuple[CircuitDAG | None, dict[int, int], int]:
         position = dict(initial_layout)
         occupant = {p: l for l, p in position.items()}
 
-        dag = CircuitDAG.from_circuit(circuit, commute=self.commute)
         remaining = [node.num_predecessors for node in dag.nodes]
         front = [node for node in dag.nodes if remaining[node.index] == 0]
         # Emit through a DAG builder so the routed artifact carries its

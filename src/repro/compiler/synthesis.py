@@ -44,18 +44,22 @@ def synthesize_pauli_chain(pauli: PauliString, angle: float) -> Circuit:
     The CNOT ladder runs over the support in ascending qubit order; the
     rotation lands on the highest support qubit (the chain's root).
     """
-    circuit = Circuit(pauli.num_qubits)
+    return Circuit(pauli.num_qubits, _pauli_chain_gates(pauli, angle))
+
+
+def _pauli_chain_gates(pauli: PauliString, angle: float) -> list[Gate]:
+    """Gate list of :func:`synthesize_pauli_chain` (empty for the identity)."""
     support = pauli.support()
     if not support:
-        return circuit  # global phase only; irrelevant for expectation values
-    circuit.extend(basis_change_gates(pauli))
-    for lower, upper in zip(support, support[1:]):
-        circuit.append(CNOT(lower, upper))
-    circuit.append(RZ(-2.0 * angle, support[-1]))
-    for lower, upper in reversed(list(zip(support, support[1:]))):
-        circuit.append(CNOT(lower, upper))
-    circuit.extend(basis_change_gates(pauli, inverse=True))
-    return circuit
+        return []  # global phase only; irrelevant for expectation values
+    ladder = [CNOT(lower, upper) for lower, upper in zip(support, support[1:])]
+    return (
+        basis_change_gates(pauli)
+        + ladder
+        + [RZ(-2.0 * angle, support[-1])]
+        + ladder[::-1]
+        + basis_change_gates(pauli, inverse=True)
+    )
 
 
 def hartree_fock_circuit(num_qubits: int, occupations: Sequence[int]) -> Circuit:
@@ -94,21 +98,16 @@ def synthesize_program_chain_with_positions(
     template instead of re-synthesizing K circuits
     (:meth:`repro.compiler.fusion.FusionPlan.bind_sweep`).
     """
-    circuit = Circuit(program.num_qubits)
+    gates: list[Gate] = []
     if include_initial_state:
-        circuit = circuit.compose(
-            hartree_fock_circuit(program.num_qubits, program.initial_occupations)
-        )
+        gates += hartree_fock_circuit(program.num_qubits, program.initial_occupations).gates
     positions: list[int | None] = []
     for pauli, angle in program.bound_terms(parameters):
-        chain = synthesize_pauli_chain(pauli, angle)
-        if not chain.gates:
+        chain = _pauli_chain_gates(pauli, angle)
+        if not chain:
             positions.append(None)
             continue
-        offset = len(circuit.gates)
-        rz_local = next(
-            index for index, gate in enumerate(chain.gates) if gate.name == "rz"
-        )
-        positions.append(offset + rz_local)
-        circuit = circuit.compose(chain)
-    return circuit, positions
+        rz_local = next(index for index, gate in enumerate(chain) if gate.name == "rz")
+        positions.append(len(gates) + rz_local)
+        gates.extend(chain)
+    return Circuit(program.num_qubits, gates), positions

@@ -27,7 +27,7 @@ Circuit hashes come in two flavors, selected by ``values=``:
   that bake values in (a bound :class:`~repro.compiler.fusion.FusedProgram`);
 * ``values=False`` records only the *parameter structure* (how many
   angles each gate carries) -- the key for value-independent artifacts
-  (fusion plans, schedule reports, routed structure), so every point of
+  (fusion plans, routed structure), so every point of
   a parameter sweep hits the same entry.
 """
 

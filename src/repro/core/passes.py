@@ -85,8 +85,8 @@ class PipelineConfig:
     simulation engine (:data:`repro.compiler.fusion.FUSION_LEVELS`);
     ``cache`` turns the content-addressed compile cache
     (:mod:`repro.core.cache`) on or off: with it on (the default), the
-    ansatz build, compression, layout, routing, and schedule metrics of
-    a run are memoized under canonical content hashes, so repeated
+    ansatz build, compression, layout and routing of a run are
+    memoized under canonical content hashes, so repeated
     pipelines, ``run_batch`` workers, and ``bond_scan`` points sharing
     structure skip recompilation entirely.
 
@@ -771,19 +771,7 @@ def collect_metrics(context: PipelineContext) -> dict[str, Any]:
         if config.dag:
             from repro.compiler.metrics import schedule_report
 
-            circuit = context.compiled.circuit
-            store = _compile_store(context)
-            if store is None:
-                schedule = schedule_report(circuit)
-            else:
-                from repro.core.cache import circuit_key
-
-                # Depth/duration depend only on the gate structure, so
-                # the value-blind hash shares one report across bindings.
-                key = ("schedule-report", circuit_key(circuit, values=False))
-                schedule = store.get_or_compute(
-                    key, lambda: schedule_report(circuit)
-                )
+            schedule = schedule_report(context.compiled.circuit)
             metrics["depth"] = int(schedule.depth)
             metrics["scheduled_depth"] = int(schedule.scheduled_depth)
             metrics["duration_ns"] = float(schedule.duration_ns)

@@ -26,7 +26,7 @@ from repro.analysis import (
 from repro.analysis.diagnostics import get_check, list_checks, register_check
 from repro.circuit.circuit import Circuit
 from repro.circuit.dag import CircuitDAG
-from repro.circuit.gates import Gate
+from repro.circuit.gates import CNOT, Gate
 from repro.compiler.fusion import build_fusion_plan
 from repro.core import Pipeline, PipelineConfig, PipelineError
 from repro.core.passes import BuildProblem, Compress, Route
@@ -257,17 +257,57 @@ def test_mutation_dag_asymmetric_edge_flagged(routed):
     assert "asymmetric" in report.errors[0].message
 
 
-def test_mutation_dag_unsound_commute_edge_flagged(routed):
+def test_mutation_dag_unsound_commute_edge_flagged():
     # Claiming commute=True for a DAG built with the conservative rules
-    # makes the canonical reconstruction disagree: commute-aware building
-    # both drops edges (spurious here) and reroutes them past commuting
-    # neighbors (missing here).  Either way it is a dag-invariants error.
-    dag = CircuitDAG.from_circuit(routed.compiled.circuit, commute=False)
+    # makes the canonical derivation disagree: two CNOTs sharing a
+    # control commute, so the wire edge between them is spurious.
+    circuit = Circuit(3, [CNOT(0, 1), CNOT(0, 2)])
+    dag = CircuitDAG.from_circuit(circuit, commute=False)
     dag.commute = True
     report = analysis.check(dag)
-    if report.errors:  # only when the circuit has commuting neighbors
-        assert sole_error_check(report) == "dag-invariants"
-        assert all("dependency edge" in d.message for d in report.errors)
+    assert sole_error_check(report) == "dag-invariants"
+    assert all("dependency edge" in d.message for d in report.errors)
+    assert [d.location for d in report.errors] == ["node 0 -> 1"]
+
+
+def _unlink(predecessor, node):
+    predecessor.successors.remove(node)
+    node.predecessors.remove(predecessor)
+
+
+def test_mutation_dag_dropped_edge_flagged(routed):
+    dag = CircuitDAG.from_circuit(routed.compiled.circuit, commute=False)
+    victim = next(node for node in dag.nodes if node.predecessors)
+    predecessor = victim.predecessors[0]
+    _unlink(predecessor, victim)
+    report = analysis.check(dag)
+    assert sole_error_check(report) == "dag-invariants"
+    assert len(report.errors) == 1
+    error = report.errors[0]
+    assert error.message.startswith(
+        f"missing dependency edge {predecessor.index} -> {victim.index}"
+    )
+    assert error.location == f"node {predecessor.index} -> {victim.index}"
+
+
+def test_mutation_dag_extra_edge_flagged(routed):
+    dag = CircuitDAG.from_circuit(routed.compiled.circuit, commute=False)
+    first, later = next(
+        (a, b)
+        for a in dag.nodes
+        for b in dag.nodes[a.index + 1 :]
+        if not set(a.gate.qubits) & set(b.gate.qubits)
+    )
+    first.successors.append(later)
+    later.predecessors.append(first)
+    report = analysis.check(dag)
+    assert sole_error_check(report) == "dag-invariants"
+    assert len(report.errors) == 1
+    error = report.errors[0]
+    assert error.message.startswith(
+        f"spurious dependency edge {first.index} -> {later.index}"
+    )
+    assert error.location == f"node {first.index} -> {later.index}"
 
 
 def test_mutation_fusion_plan_dropped_gate_flagged(routed):

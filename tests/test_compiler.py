@@ -88,6 +88,103 @@ class TestChainSynthesis:
         )
 
 
+def compose_loop_chain(program, parameters, *, include_initial_state=True):
+    """Oracle: chain synthesis as one ``Circuit.compose`` per term.
+
+    The quadratic loop the gate-list synthesis replaced, with the chain
+    of each term built gate by gate as the original implementation did.
+    """
+    from repro.circuit.gates import CNOT, RZ, X
+    from repro.compiler.synthesis import basis_change_gates
+
+    circuit = Circuit(program.num_qubits)
+    if include_initial_state:
+        circuit = circuit.compose(
+            Circuit(program.num_qubits, [X(q) for q in program.initial_occupations])
+        )
+    positions = []
+    for pauli, angle in program.bound_terms(parameters):
+        chain = Circuit(pauli.num_qubits)
+        support = pauli.support()
+        if support:
+            chain.extend(basis_change_gates(pauli))
+            for lower, upper in zip(support, support[1:]):
+                chain.append(CNOT(lower, upper))
+            chain.append(RZ(-2.0 * angle, support[-1]))
+            for lower, upper in reversed(list(zip(support, support[1:]))):
+                chain.append(CNOT(lower, upper))
+            chain.extend(basis_change_gates(pauli, inverse=True))
+        if not chain.gates:
+            positions.append(None)
+            continue
+        rz_local = next(i for i, gate in enumerate(chain.gates) if gate.name == "rz")
+        positions.append(len(circuit.gates) + rz_local)
+        circuit = circuit.compose(chain)
+    return circuit, positions
+
+
+def program_with_identity_terms(seed: int) -> PauliProgram:
+    """A random program whose terms include identity strings."""
+    program = random_program(5, 8, seed=seed)
+    terms = list(program.terms)
+    terms.insert(0, IRTerm(PauliString.identity(5), 0.4, 0))
+    terms.insert(5, IRTerm(PauliString.identity(5), -1.1, 3))
+    terms.append(IRTerm(PauliString.identity(5), 0.2, 7))
+    return PauliProgram(5, 8, terms, program.initial_occupations)
+
+
+class TestChainSynthesisOracle:
+    """Gate-list synthesis equals the compose loop, gates and RZ positions."""
+
+    @staticmethod
+    def assert_matches_oracle(program, parameters, **kwargs):
+        from repro.compiler import synthesize_program_chain_with_positions
+
+        circuit, positions = synthesize_program_chain_with_positions(
+            program, parameters, **kwargs
+        )
+        expected, expected_positions = compose_loop_chain(program, parameters, **kwargs)
+        assert circuit.num_qubits == expected.num_qubits
+        assert circuit.gates == expected.gates
+        assert positions == expected_positions
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("include_initial_state", [True, False])
+    def test_random_programs_with_identity_terms(self, seed, include_initial_state):
+        program = program_with_identity_terms(seed)
+        params = np.random.default_rng(seed).normal(size=program.num_parameters)
+        self.assert_matches_oracle(
+            program, params, include_initial_state=include_initial_state
+        )
+
+    @pytest.mark.parametrize("molecule", ["H2", "LiH", "HF", "H2O"])
+    def test_compressed_molecules(self, molecule):
+        problem = build_molecule_hamiltonian(molecule)
+        program = compress_ansatz(
+            build_uccsd_program(problem).program, problem.hamiltonian, 0.3
+        ).program
+        params = np.random.default_rng(5).normal(size=program.num_parameters)
+        self.assert_matches_oracle(program, params)
+
+    def test_full_h2o_ansatz_appends_linearly(self, monkeypatch):
+        """At most 2 * G ``Circuit.append`` calls for a G-gate chain."""
+        problem = build_molecule_hamiltonian("H2O")
+        program = build_uccsd_program(problem).program
+        calls = 0
+        append = Circuit.append
+
+        def counting_append(self, gate):
+            nonlocal calls
+            calls += 1
+            return append(self, gate)
+
+        monkeypatch.setattr(Circuit, "append", counting_append)
+        circuit = synthesize_program_chain(program, [0.1] * program.num_parameters)
+        monkeypatch.undo()
+        assert len(circuit.gates) > 10_000
+        assert calls <= 2 * len(circuit.gates)
+
+
 def compiled_state_from(circuit: Circuit, state):
     from repro.sim import apply_circuit
 

@@ -3,18 +3,25 @@
 Covers construction (wire edges, commutation-aware edges, front layer),
 scheduling metrics (depth, latency-weighted critical path), and the
 integration points: SABRE's commutation-aware frontier and the DAG
-emitted by Merge-to-Root.
+emitted by Merge-to-Root.  The one-pass schedule report and the integer
+edge derivation are checked against the DAG walks they replace.
 """
+
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.circuit_checks import _edge_set
 from repro.circuit import Circuit, CircuitDAG
-from repro.circuit.dag import gate_axes
+from repro.circuit.dag import dependency_edges, gate_axes
 from repro.circuit.gates import (
     Barrier,
     CNOT,
     CZ,
+    Gate,
     H,
     Measure,
     RZ,
@@ -22,7 +29,69 @@ from repro.circuit.gates import (
     SWAP,
     X,
 )
+from repro.compiler.metrics import ScheduleReport, schedule_report
 from repro.hardware.latency import DEFAULT_LATENCY, GateLatencyModel
+
+TABLE2_MOLECULES = ("H2", "LiH", "NaH", "HF", "BeH2", "H2O", "BH3", "NH3", "CH4")
+
+_ONE_QUBIT = ("x", "y", "z", "h", "s", "sdg", "measure")
+_ROTATIONS = ("rx", "ry", "rz")
+_TWO_QUBIT = ("cx", "cz", "swap")
+
+
+@st.composite
+def circuits(draw, max_qubits: int = 5, max_gates: int = 40):
+    """Random circuits over every gate kind, barriers on any qubit subset."""
+    num_qubits = draw(st.integers(1, max_qubits))
+    qubit = st.integers(0, num_qubits - 1)
+    kinds = ["one", "rotation", "barrier"] + (["two"] if num_qubits > 1 else [])
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "one":
+            gates.append(Gate(draw(st.sampled_from(_ONE_QUBIT)), (draw(qubit),)))
+        elif kind == "rotation":
+            angle = draw(st.floats(-4.0, 4.0))
+            gates.append(Gate(draw(st.sampled_from(_ROTATIONS)), (draw(qubit),), (angle,)))
+        elif kind == "two":
+            pair = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            gates.append(Gate(draw(st.sampled_from(_TWO_QUBIT)), tuple(pair)))
+        else:
+            gates.append(Barrier(*draw(st.lists(qubit, unique=True))))
+    return Circuit(num_qubits, gates)
+
+
+_LATENCY_NS = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
+latency_models = st.builds(
+    GateLatencyModel,
+    single_qubit_ns=_LATENCY_NS,
+    cx_ns=_LATENCY_NS,
+    cz_ns=_LATENCY_NS,
+    measure_ns=_LATENCY_NS,
+)
+
+
+def dag_schedule_report(circuit, latency=DEFAULT_LATENCY):
+    """Oracle: the schedule report as two wire-dependency DAG walks.
+
+    ``depth`` on the circuit's own DAG, ``scheduled_depth`` and
+    ``duration_ns`` on the DAG of its SWAP-decomposed circuit.
+    """
+    decomposed = CircuitDAG.from_circuit(circuit.decompose_swaps())
+    return ScheduleReport(
+        depth=CircuitDAG.from_circuit(circuit).depth(),
+        scheduled_depth=decomposed.depth(),
+        duration_ns=decomposed.duration(latency),
+    )
+
+
+def assert_report_matches_oracle(circuit, latency=DEFAULT_LATENCY):
+    expected = dag_schedule_report(circuit, latency)
+    actual = schedule_report(circuit, latency)
+    assert actual.depth == expected.depth
+    assert actual.scheduled_depth == expected.scheduled_depth
+    assert struct.pack("d", actual.duration_ns) == struct.pack("d", expected.duration_ns)
+    assert circuit.depth() == expected.depth
 
 
 class TestConstruction:
@@ -200,3 +269,76 @@ class TestCommutingFrontierRouting:
         for gate in result.circuit.decompose_swaps():
             if gate.is_two_qubit():
                 assert device.are_connected(*gate.qubits), gate
+
+
+class TestScheduleReportOracle:
+    """The one-pass report equals the DAG walks, duration bits included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(circuits(), latency_models)
+    def test_random_circuits_every_gate_kind(self, circuit, latency):
+        assert_report_matches_oracle(circuit, latency)
+
+    def test_swap_barrier_measure_pinned(self):
+        circuit = Circuit(
+            3,
+            [H(0), SWAP(0, 1), Barrier(1, 2), Measure(2), CZ(1, 2), Barrier(), SWAP(2, 0)],
+        )
+        assert_report_matches_oracle(circuit, GateLatencyModel(7.0, 110.0, 90.0, 500.0))
+        report = schedule_report(circuit)
+        assert (report.depth, report.scheduled_depth) == (4, 8)
+
+    @pytest.mark.parametrize("molecule", TABLE2_MOLECULES)
+    def test_table2_molecules_mtr_and_sabre(self, molecule):
+        from repro.ansatz import build_uccsd_program
+        from repro.chem import build_molecule_hamiltonian
+        from repro.compiler import MergeToRootCompiler, SabreRouter, synthesize_program_chain
+        from repro.core import compress_ansatz
+        from repro.hardware import get_device
+
+        problem = build_molecule_hamiltonian(molecule)
+        program = compress_ansatz(
+            build_uccsd_program(problem).program, problem.hamiltonian, 0.3
+        ).program
+        mtr = MergeToRootCompiler(get_device("xtree17")).compile(program)
+        chain = synthesize_program_chain(program, [0.0] * program.num_parameters)
+        sabre = SabreRouter(get_device("grid17")).run(chain)
+        assert_report_matches_oracle(mtr.circuit)
+        assert_report_matches_oracle(sabre.circuit)
+
+    def test_routed_corpus_circuits(self):
+        from pathlib import Path
+
+        from repro.bench.corpus import corpus_devices, load_corpus
+        from repro.compiler import get_compiler
+        from repro.hardware import get_device
+
+        corpus = load_corpus(Path(__file__).resolve().parent.parent / "benchmarks" / "corpus")
+        assert len(corpus) == 25
+        for _, circuit in corpus:
+            device = get_device(corpus_devices(circuit.num_qubits)[0])
+            for name in ("mtr", "sabre"):
+                routed = get_compiler(name).compile_circuit(circuit, device).circuit
+                assert_report_matches_oracle(routed)
+
+
+class TestDependencyEdges:
+    """The integer edge derivation equals the builder's edge set."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(circuits(max_gates=60), st.booleans())
+    def test_matches_builder(self, circuit, commute):
+        dag = CircuitDAG.from_circuit(circuit, commute=commute)
+        edges = dependency_edges(circuit.gates, circuit.num_qubits, commute=commute)
+        assert edges == _edge_set(dag)
+
+    def test_commuting_group_pinned(self):
+        # Two CNOTs sharing a control form one Z group on wire 0; the H
+        # after them depends on both, the RZ before them on neither.
+        gates = [RZ(0.1, 0), H(0), CNOT(0, 1), CNOT(0, 2), H(0)]
+        assert dependency_edges(gates, 3, commute=True) == {(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)}
+        assert dependency_edges(gates, 3) == {(0, 1), (1, 2), (2, 3), (3, 4)}
+
+    def test_rejects_out_of_range_qubit(self):
+        with pytest.raises(ValueError, match="touches qubit 5"):
+            dependency_edges([H(0), H(5)], 2)
