@@ -9,9 +9,7 @@ families built on them (:mod:`.rules`) --
   mutation, non-picklable process-pool tasks, SharedSlabs lifecycle;
 * **determinism** (RR111-RR112): hidden-global randomness / wall-clock
   reads, and ``default_rng`` seeds that do not provably flow from a
-  SeedSequence or plain-int source;
-* **backend-purity** (RR121): host ``np.*`` calls on values produced by
-  :class:`~repro.sim.backend.ArrayBackend` hooks.
+  SeedSequence or plain-int source.
 
 Surfaced two ways: ``tools/lint_repro.py`` formats the findings as lint
 lines / GitHub annotations / JSON and gates CI; importing this package
@@ -28,7 +26,6 @@ from __future__ import annotations
 from repro.analysis.static import checks as _checks  # registers Check families
 from repro.analysis.static.callgraph import CallGraph, Node, ReachedWrite
 from repro.analysis.static.checks import (
-    BackendPurityCheck,
     ConcurrencySafetyCheck,
     DeterminismCheck,
     suppressed,
@@ -50,7 +47,6 @@ from repro.analysis.static.rules import (
     rr103_slab_lifecycle,
     rr111_nondeterministic_sources,
     rr112_unseeded_default_rng,
-    rr121_backend_taint,
 )
 from repro.analysis.static.suppress import IGNORE_PRAGMA, SuppressionIndex
 
@@ -63,7 +59,6 @@ def analyze(project: ProjectModel) -> list[RuleFinding]:
 
 
 __all__ = [
-    "BackendPurityCheck",
     "CallGraph",
     "ConcurrencySafetyCheck",
     "DeterminismCheck",
@@ -86,6 +81,5 @@ __all__ = [
     "rr103_slab_lifecycle",
     "rr111_nondeterministic_sources",
     "rr112_unseeded_default_rng",
-    "rr121_backend_taint",
     "suppressed",
 ]

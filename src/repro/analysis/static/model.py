@@ -2,7 +2,7 @@
 
 This is the substrate of the RR1xx analyzers (:mod:`.rules`): every
 module is parsed once and boiled down to the facts the concurrency /
-determinism / backend-purity rules need --
+determinism rules need --
 
 * which names a module binds at top level (the mutable state surface),
 * which functions exist (including nested defs and lambdas, which get
@@ -12,7 +12,7 @@ determinism / backend-purity rules need --
 * which module-level names each function mutates and how,
 * which callables each function submits to thread / process executors,
 * the raw AST of each function body, for the rules that walk deeper
-  (slab lifecycle, seed provenance, backend taint).
+  (slab lifecycle, seed provenance).
 
 Everything here is linear in source size and dependency-free (stdlib
 ``ast`` only), so the whole tree models in well under a second.  The
@@ -155,7 +155,7 @@ class ProjectModel:
 
 
 def dotted_name(rel: str) -> str:
-    """``src/repro/sim/backend.py`` -> ``repro.sim.backend``."""
+    """``src/repro/sim/trajectory.py`` -> ``repro.sim.trajectory``."""
     parts = rel[:-3] if rel.endswith(".py") else rel
     if parts.startswith("src/"):
         parts = parts[len("src/"):]

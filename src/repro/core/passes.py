@@ -89,12 +89,6 @@ class PipelineConfig:
     memoized under canonical content hashes, so repeated
     pipelines, ``run_batch`` workers, and ``bond_scan`` points sharing
     structure skip recompilation entirely.
-
-    ``array_backend`` selects the tensor library behind every simulation
-    the pipeline performs (:mod:`repro.sim.backend`): ``"numpy"`` (the
-    default) runs the in-place fast paths; ``"cupy"``/``"torch"``
-    dispatch the same math through those libraries' array APIs when they
-    are importable.
     """
 
     molecule: str = "H2"
@@ -114,7 +108,6 @@ class PipelineConfig:
     engine: str = "inplace"
     fusion: str = "2q"
     cache: bool = True
-    array_backend: str = "numpy"
     validate: bool = True
     trajectories: int = 256
     dag: bool = True
@@ -126,14 +119,12 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         """Check the closed-set and numeric fields, naming the field on failure."""
         from repro.compiler.fusion import FUSION_LEVELS
-        from repro.sim.backend import available_array_backends
         from repro.sim.statevector import ENGINES
 
         for name, kind, choices in (
             ("engine", "simulation engine", ENGINES),
             ("fusion", "fusion level", FUSION_LEVELS),
             ("layout", "layout scheme", LAYOUT_SCHEMES),
-            ("array_backend", "array backend", available_array_backends()),
         ):
             value = getattr(self, name)
             if value not in choices:
@@ -616,7 +607,6 @@ class Energy(Pass):
         engine: str | None = None,
         fusion: str | None = None,
         cache: bool | None = None,
-        array_backend: str | None = None,
         gradient: str | None = None,
         noise: Any = None,
         trajectories: int | None = None,
@@ -627,7 +617,6 @@ class Energy(Pass):
         self.engine = engine
         self.fusion = fusion
         self.cache = cache
-        self.array_backend = array_backend
         self.gradient = gradient
         self.noise = noise
         self.trajectories = trajectories
@@ -635,6 +624,7 @@ class Energy(Pass):
         self.compute_exact = compute_exact
 
     def run(self, context: PipelineContext) -> None:
+        from repro.sim.exact import molecule_ground_state_energy
         from repro.vqe.runner import VQE
 
         problem = context.require("problem", self.name)
@@ -662,7 +652,6 @@ class Energy(Pass):
             engine=self.engine or context.config.engine,
             fusion=self.fusion or context.config.fusion,
             cache=context.config.cache if self.cache is None else self.cache,
-            array_backend=self.array_backend or context.config.array_backend,
             gradient=self.gradient,
             noise=self.noise,
             trajectories=self.trajectories or context.config.trajectories,
@@ -673,25 +662,9 @@ class Energy(Pass):
         context.metrics["iterations"] = int(result.iterations)
         context.metrics["hf_energy"] = float(problem.hf_energy)
         if self.compute_exact:
-            exact = _exact_ground_state_energy(problem)
+            exact = molecule_ground_state_energy(problem)
             context.metrics["exact_energy"] = exact
             context.metrics["energy_error"] = float(result.energy - exact)
-
-
-#: Exact ground-state energies keyed per molecular instance, so sweeps
-#: that revisit one Hamiltonian (ratio scans, decay-base ablations) pay
-#: for the diagonalization once.  Safe because the chem layer memoizes
-#: the Hamiltonian itself on the same key.
-_EXACT_ENERGY_CACHE: dict[tuple[str, float], float] = {}
-
-
-def _exact_ground_state_energy(problem: MolecularProblem) -> float:
-    from repro.sim.exact import ground_state_energy
-
-    key = (problem.molecule.name, float(problem.molecule.bond_length))
-    if key not in _EXACT_ENERGY_CACHE:
-        _EXACT_ENERGY_CACHE[key] = float(ground_state_energy(problem.hamiltonian))
-    return _EXACT_ENERGY_CACHE[key]
 
 
 class Metrics(Pass):

@@ -24,27 +24,21 @@ parameter sets through one :meth:`evolve` call.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np  # lint: ignore[RR006] - host-side tables and real fast path
+import numpy as np
 
 from scipy.linalg.blas import daxpy as _daxpy
 
 from repro.circuit import Circuit
 from repro.circuit.gates import Gate
 from repro.pauli import PauliString
-from repro.sim.backend import ArrayBackend, get_array_backend
 from repro.sim.pauli_evolution import (
     cached_parity_signs,
     cached_xor_indices,
     pauli_sign_factor,
 )
-from repro.sim.statevector import (
-    apply_gate_backend,
-    apply_gate_inplace,
-    basis_state,
-    check_engine,
-)
+from repro.sim.statevector import apply_gate_inplace, basis_state, check_engine
 
 if TYPE_CHECKING:
     from repro.sim.expectation import ExpectationEngine
@@ -68,88 +62,52 @@ class BatchedStatevector:
         num_qubits: int,
         batch_size: int,
         *,
-        states: Any | None = None,
-        backend: str | ArrayBackend | None = None,
+        states: np.ndarray | None = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         self.num_qubits = num_qubits
         self.batch_size = batch_size
-        self.backend = get_array_backend(backend)
         dim = 1 << num_qubits
         if states is None:
-            self.states = self.backend.zeros(
-                (batch_size, dim), dtype=self.backend.complex_dtype
-            )
+            self.states = np.zeros((batch_size, dim), dtype=np.complex128)
             self.states[:, 0] = 1.0
         else:
-            states = self.backend.ascontiguous(
-                self.backend.asarray(states, dtype=self.backend.complex_dtype)
-            )
+            states = np.ascontiguousarray(np.asarray(states, dtype=np.complex128))
             if tuple(states.shape) != (batch_size, dim):
                 raise ValueError(
                     f"states must have shape {(batch_size, dim)}, "
                     f"got {tuple(states.shape)}"
                 )
             self.states = states
-        self._buffer: Any | None = None
-        #: Backend-resident copies of the memoized sign tables, keyed by
-        #: Pauli mask (only populated for non-numpy backends, where the
-        #: host table would otherwise be converted every term).
-        self._device_signs: dict[int, Any] = {}
+        self._buffer: np.ndarray | None = None
 
     @classmethod
-    def from_states(
-        cls, states: Any, *, backend: str | ArrayBackend | None = None
-    ) -> "BatchedStatevector":
+    def from_states(cls, states: np.ndarray) -> "BatchedStatevector":
         """Wrap an existing ``(K, 2**n)`` stack (copied to a fresh buffer)."""
-        resolved = get_array_backend(backend)
-        states = resolved.asarray(states, dtype=resolved.complex_dtype)
+        states = np.array(states, dtype=np.complex128, order="C")
         if states.ndim != 2 or states.shape[1] & (states.shape[1] - 1):
             raise ValueError("states must be (K, 2**n)")
-        copy = resolved.empty_like(resolved.ascontiguous(states))
-        resolved.copyto(copy, states)
         num_qubits = int(states.shape[1]).bit_length() - 1
-        return cls(
-            num_qubits, int(states.shape[0]), states=copy, backend=resolved
-        )
+        return cls(num_qubits, int(states.shape[0]), states=states)
 
     @classmethod
-    def broadcast(
-        cls,
-        state: Any,
-        batch_size: int,
-        *,
-        backend: str | ArrayBackend | None = None,
-    ) -> "BatchedStatevector":
+    def broadcast(cls, state: np.ndarray, batch_size: int) -> "BatchedStatevector":
         """K copies of one statevector (e.g. a shared reference state)."""
-        resolved = get_array_backend(backend)
-        host = np.tile(
-            np.asarray(resolved.to_numpy(state), dtype=complex), (batch_size, 1)
+        return cls.from_states(
+            np.tile(np.asarray(state, dtype=complex), (batch_size, 1))
         )
-        return cls.from_states(host, backend=resolved)
 
     def reset(self, index: int = 0) -> "BatchedStatevector":
         """Reset every row to the basis state ``|index>``."""
-        self.backend.copyto(
-            self.states,
-            self.backend.asarray(
-                basis_state(self.num_qubits, index),
-                dtype=self.backend.complex_dtype,
-            ),
-        )
+        self.states[...] = basis_state(self.num_qubits, index)
         return self
 
     # ------------------------------------------------------------------
     # Evolution
     # ------------------------------------------------------------------
     def apply_gate(self, gate: Gate) -> "BatchedStatevector":
-        if self.backend.supports_inplace_kernels:
-            apply_gate_inplace(self.states, gate, self.num_qubits)
-        else:
-            self.states = apply_gate_backend(
-                self.states, gate, self.num_qubits, self.backend
-            )
+        apply_gate_inplace(self.states, gate, self.num_qubits)
         return self
 
     def apply_circuit(
@@ -166,11 +124,6 @@ class BatchedStatevector:
         if circuit.num_qubits != self.num_qubits:
             raise ValueError("qubit count mismatch")
         if engine == "fused":
-            if not self.backend.supports_inplace_kernels:
-                raise ValueError(
-                    f"engine='fused' requires in-place kernel support, "
-                    f"which backend {self.backend.name!r} does not provide"
-                )
             from repro.compiler.fusion import fuse_circuit
 
             fuse_circuit(circuit).apply(self.states)
@@ -205,9 +158,8 @@ class BatchedStatevector:
                 f"angles must have shape {(self.batch_size, len(paulis))}, "
                 f"got {angles.shape}"
             )
-        if not self.backend.supports_inplace_kernels:
-            return self._evolve_generic(paulis, angles)
-        backend = self.backend
+        from scipy.linalg.blas import zaxpy
+
         states = self.states
         rows = self.batch_size
         n = self.num_qubits
@@ -226,15 +178,15 @@ class BatchedStatevector:
             cos_col = cosines[:, position]
             sin_col = sines[:, position]
             if pauli.x:
-                backend.take_into(states, cached_xor_indices(n, pauli.x), buf)
+                np.take(states, cached_xor_indices(n, pauli.x), axis=-1, out=buf)
             else:
-                backend.copyto(buf, states)
+                buf[...] = states
             buf *= cached_parity_signs(n, pauli.z)
             factor = 1j * pauli_sign_factor(pauli)
             if deferrable[position]:
                 coefficients = factor * sin_col / cos_col
                 for k in range(rows):  # st_k += (i f tan a_k) P~ st_k (BLAS)
-                    backend.axpy(buf[k], states[k], coefficients[k])
+                    zaxpy(buf[k], states[k], a=coefficients[k])
                 scale *= cos_col
                 deferred = True
                 if np.min(np.abs(scale)) < _SCALE_REFOLD:
@@ -251,75 +203,21 @@ class BatchedStatevector:
             states *= scale[:, None]
         return self
 
-    def _evolve_generic(
-        self, paulis: Sequence[PauliString], angles: np.ndarray
-    ) -> "BatchedStatevector":
-        """Out-of-place ``evolve`` through backend hooks (CuPy/torch).
-
-        One gather + two scaled adds per term, every factor applied in
-        its exact two-scaling form (no deferred-cosine bookkeeping --
-        the fused-BLAS trick it feeds is numpy-specific, and keeping the
-        generic path normalized term by term is simpler and just as
-        parallel on an accelerator).
-        """
-        backend = self.backend
-        states = self.states
-        n = self.num_qubits
-        cosines = np.cos(angles)
-        sines = np.sin(angles)
-        for position, pauli in enumerate(paulis):
-            if pauli.is_identity():
-                states = states * backend.asarray(
-                    np.exp(1j * angles[:, position])[:, None],
-                    dtype=backend.complex_dtype,
-                )
-                continue
-            if pauli.x:
-                permuted = backend.take(
-                    states, cached_xor_indices(n, pauli.x), axis=-1
-                )
-            else:
-                permuted = states
-            permuted = permuted * self._signs_on_device(pauli.z)
-            factor = 1j * pauli_sign_factor(pauli)
-            cos_col = backend.asarray(
-                np.ascontiguousarray(cosines[:, position])[:, None].astype(complex),
-                dtype=backend.complex_dtype,
-            )
-            sin_col = backend.asarray(
-                (factor * sines[:, position])[:, None],
-                dtype=backend.complex_dtype,
-            )
-            states = states * cos_col + permuted * sin_col
-        self.states = backend.ascontiguous(states)
-        return self
-
-    def _signs_on_device(self, z_mask: int) -> Any:
-        """The memoized parity-sign row moved onto the backend (cached)."""
-        cached = self._device_signs.get(z_mask)
-        if cached is None:
-            cached = self.backend.asarray(
-                cached_parity_signs(self.num_qubits, z_mask),
-                dtype=self.backend.float_dtype,
-            )
-            self._device_signs[z_mask] = cached
-        return cached
-
-    def _get_buffer(self) -> Any:
-        if self._buffer is None or tuple(self._buffer.shape) != tuple(self.states.shape):
-            self._buffer = self.backend.empty_like(self.states)
+    def _get_buffer(self) -> np.ndarray:
+        if self._buffer is None or self._buffer.shape != self.states.shape:
+            self._buffer = np.empty_like(self.states)
         return self._buffer
 
     # ------------------------------------------------------------------
     # Readout
     # ------------------------------------------------------------------
     def probabilities(self) -> np.ndarray:
-        """Per-row probability vectors, shape ``(K, 2**n)`` (host numpy)."""
-        return np.abs(self.backend.to_numpy(self.states)) ** 2
+        """Per-row probability vectors, shape ``(K, 2**n)``."""
+        return np.abs(self.states) ** 2
 
     def norms(self) -> np.ndarray:
         """Per-row state norms (should all be ~1 after unitary evolution)."""
-        return np.linalg.norm(self.backend.to_numpy(self.states), axis=1)
+        return np.linalg.norm(self.states, axis=1)
 
     def expectations(self, engine: ExpectationEngine) -> np.ndarray:
         """Per-row ``<psi|H|psi>`` through an :class:`ExpectationEngine`."""
@@ -401,8 +299,6 @@ def sweep_expectations(
     reference: np.ndarray,
     engine: ExpectationEngine,
     block_size: int = 8,
-    *,
-    backend: "str | ArrayBackend | None" = None,
 ) -> np.ndarray:
     """Blocked batched energies for K bound-angle rows, shape ``(K,)``.
 
@@ -413,33 +309,22 @@ def sweep_expectations(
     through ``engine`` (:class:`repro.sim.expectation.ExpectationEngine`).
     Programs whose factors are real orthogonal
     (:func:`real_evolution_compatible`) and whose reference is real run
-    the whole evolution in float64 -- but only on backends advertising
-    :attr:`~repro.sim.backend.ArrayBackend.supports_real_orthogonal`
-    (the path leans on fused CPU BLAS row updates; CuPy/torch opt out
-    through the capability flag and take the complex batched path).
+    the whole evolution in float64 (fused BLAS DAXPY row updates).
     """
-    resolved = get_array_backend(backend)
     angle_matrix = np.asarray(angle_matrix, dtype=float)
     total = angle_matrix.shape[0]
     if total == 0:
         return np.zeros(0)
-    reference_host = np.asarray(resolved.to_numpy(reference))
-    use_real = (
-        resolved.supports_real_orthogonal
-        and real_evolution_compatible(paulis)
-        and np.allclose(reference_host.imag, 0.0)
-    )
+    reference = np.asarray(reference)
+    use_real = real_evolution_compatible(paulis) and np.allclose(reference.imag, 0.0)
     block = min(block_size, total)
     energies = np.empty(total)
     if use_real:
-        states = np.empty((block, reference_host.shape[0]), dtype=float)
+        states = np.empty((block, reference.shape[0]), dtype=float)
         buf = np.empty_like(states)
-        reference = reference_host.real
+        reference = reference.real
     else:
-        batch = BatchedStatevector.broadcast(reference_host, block, backend=resolved)
-        reference_device = resolved.asarray(
-            reference_host, dtype=resolved.complex_dtype
-        )
+        batch = BatchedStatevector.broadcast(reference, block)
     for start in range(0, total, block):
         stop = min(start + block, total)
         angles = angle_matrix[start:stop]
@@ -452,7 +337,7 @@ def sweep_expectations(
             scales = _sweep_block_real(paulis, angles, states, buf)
             values = engine.values_real(states) * scales**2
         else:
-            resolved.copyto(batch.states, reference_device)
+            batch.states[...] = reference
             batch.evolve(paulis, angles)
             values = batch.expectations(engine)
         energies[start:stop] = values[: stop - start]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np  # lint: ignore[RR006] - allocation-free workspace kernels are numpy-native
+import numpy as np
 
 from repro.core.bits import popcount
 from repro.pauli import PauliString

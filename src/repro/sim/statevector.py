@@ -28,14 +28,11 @@ signatures as compatibility shims over the in-place kernels.
 from __future__ import annotations
 
 import math
-from typing import Any
-
-import numpy as np  # lint: ignore[RR006] - in-place kernels are numpy-native
+import numpy as np
 
 from repro.circuit import Circuit
 from repro.circuit.gates import Gate
 from repro.core.seeding import seeded_rng
-from repro.sim.backend import ArrayBackend, get_array_backend
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -129,91 +126,6 @@ def _apply_gate_legacy(state: np.ndarray, gate: Gate, num_qubits: int) -> np.nda
     if gate.num_qubits == 2:
         return _apply_two_qubit(state, matrix, gate.qubits[0], gate.qubits[1], num_qubits)
     raise ValueError(f"unsupported gate arity: {gate!r}")
-
-
-# ----------------------------------------------------------------------
-# Generic backend engine: out-of-place tensor contraction via hooks
-# ----------------------------------------------------------------------
-def apply_gate_backend(
-    state: Any, gate: Gate, num_qubits: int, backend: ArrayBackend
-) -> Any:
-    """Apply one gate through :class:`~repro.sim.backend.ArrayBackend` hooks.
-
-    The out-of-place tensor-contraction path (same semantics as the
-    legacy engine, broadcast over any leading batch axes) used by
-    backends without :attr:`~repro.sim.backend.ArrayBackend.supports_inplace_kernels`
-    -- CuPy/torch execute the contraction natively on their own device.
-    Returns the evolved array (the input is not mutated).
-    """
-    if gate.name in ("barrier", "measure"):
-        return state
-    matrix = backend.asarray(gate.matrix(), dtype=backend.complex_dtype)
-    shape = state.shape
-    tensor = state.reshape((-1,) + (2,) * num_qubits)
-    ndim = tensor.ndim
-    if gate.num_qubits == 1:
-        axis = ndim - 1 - gate.qubits[0]
-        tensor = backend.tensordot(matrix, tensor, axes=([1], [axis]))
-        tensor = backend.moveaxis(tensor, 0, axis)
-    elif gate.num_qubits == 2:
-        axis_a = ndim - 1 - gate.qubits[0]
-        axis_b = ndim - 1 - gate.qubits[1]
-        gate_tensor = matrix.reshape(2, 2, 2, 2)
-        # gate_tensor indices: [out_b, out_a, in_b, in_a] -- bit 0 of the
-        # 4-dim matrix index is the first listed qubit.
-        tensor = backend.tensordot(
-            gate_tensor, tensor, axes=([2, 3], [axis_b, axis_a])
-        )
-        tensor = backend.moveaxis(tensor, [0, 1], [axis_b, axis_a])
-    else:
-        raise ValueError(f"unsupported gate arity: {gate!r}")
-    return backend.ascontiguous(tensor).reshape(shape)
-
-
-def _apply_unitary_backend(
-    state: Any,
-    matrix: Any,
-    qubits: tuple[int, ...],
-    num_qubits: int,
-    backend: ArrayBackend,
-) -> Any:
-    """Backend-generic version of :func:`apply_unitary_inplace`.
-
-    Computes out of place with backend einsum/moveaxis, then writes the
-    result back into ``state`` so the in-place contract (mutate and
-    return the same buffer) holds for callers either way.
-    """
-    matrix = backend.asarray(matrix, dtype=backend.complex_dtype)
-    arity = len(qubits)
-    if arity == 2 and qubits[0] == qubits[1]:
-        raise ValueError("two-qubit unitary needs distinct qubits")
-    if arity not in (1, 2):
-        raise ValueError("dense unitary kernels support 1- and 2-qubit blocks only")
-    shape = state.shape
-    tensor = state.reshape((-1,) + (2,) * num_qubits)
-    ndim = tensor.ndim
-    if arity == 1:
-        sources = [ndim - 1 - qubits[0]]
-    else:
-        # Last-axis order (bit_b, bit_a): flattened index (bit_b << 1) |
-        # bit_a matches the gate-matrix convention (first listed qubit =
-        # least significant bit).
-        sources = [ndim - 1 - qubits[1], ndim - 1 - qubits[0]]
-    destinations = list(range(ndim - arity, ndim))
-    dim = 1 << arity
-    moved = backend.ascontiguous(backend.moveaxis(tensor, sources, destinations))
-    flat = moved.reshape(moved.shape[: ndim - arity] + (dim,))
-    if matrix.ndim == 3:
-        if len(shape) != 2 or matrix.shape[0] != shape[0]:
-            raise ValueError(
-                "per-row matrix stacks require a matching (K, 2**n) state stack"
-            )
-        updated = backend.einsum("kij,k...j->k...i", matrix, flat)
-    else:
-        updated = backend.einsum("ij,...j->...i", matrix, flat)
-    restored = backend.moveaxis(updated.reshape(moved.shape), destinations, sources)
-    backend.copyto(state, backend.ascontiguous(restored).reshape(shape))
-    return state
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +264,6 @@ def apply_unitary_inplace(
     matrix: np.ndarray,
     qubits: tuple[int, ...],
     num_qubits: int,
-    backend: str | ArrayBackend | None = None,
 ) -> np.ndarray:
     """Apply a dense 1q/2q unitary to ``state`` by mutating it.
 
@@ -371,15 +282,7 @@ def apply_unitary_inplace(
     cheaper per amplitude than the generic slab loop -- that is what
     makes fused dense blocks profitable against the specialized
     single-gate kernels.
-
-    ``backend=`` routes the kernel: backends without in-place support
-    (CuPy/torch) take the out-of-place einsum path of
-    :func:`_apply_unitary_backend` (same mutate-and-return contract).
     """
-    if backend is not None:
-        resolved = get_array_backend(backend)
-        if not resolved.supports_inplace_kernels:
-            return _apply_unitary_backend(state, matrix, qubits, num_qubits, resolved)
     _check_inplace_buffer(state)
     matrix = np.asarray(matrix, dtype=complex)
     arity = len(qubits)
@@ -481,49 +384,24 @@ class StatevectorSimulator:
 
     ``engine`` selects the gate-application path (see module docstring);
     the default in-place engine reuses ``self.state`` as its buffer.
-    ``backend`` selects the tensor library (:mod:`repro.sim.backend`);
-    backends without in-place kernel support route every engine except
-    ``"fused"`` (which requires them) through the out-of-place
-    contraction path executed on the backend's own device.
     """
 
     def __init__(
-        self,
-        num_qubits: int,
-        seed: int | None = None,
-        engine: str = "inplace",
-        *,
-        backend: str | ArrayBackend | None = None,
+        self, num_qubits: int, seed: int | None = None, engine: str = "inplace"
     ) -> None:
         self.num_qubits = num_qubits
         self.engine = check_engine(engine)
-        self.backend = get_array_backend(backend)
-        if engine == "fused" and not self.backend.supports_inplace_kernels:
-            raise ValueError(
-                f"engine='fused' requires in-place kernel support, which "
-                f"backend {self.backend.name!r} does not provide; use "
-                "engine='inplace' or 'batched'"
-            )
-        self.state = self.backend.asarray(
-            basis_state(num_qubits), dtype=self.backend.complex_dtype
-        )
+        self.state = basis_state(num_qubits)
         self._rng = seeded_rng(seed)
 
     def reset(self) -> "StatevectorSimulator":
-        self.state = self.backend.asarray(
-            basis_state(self.num_qubits), dtype=self.backend.complex_dtype
-        )
+        self.state = basis_state(self.num_qubits)
         return self
 
-    def run(self, circuit: Circuit) -> Any:
+    def run(self, circuit: Circuit) -> np.ndarray:
         if circuit.num_qubits != self.num_qubits:
             raise ValueError("qubit count mismatch")
-        if not self.backend.supports_inplace_kernels:
-            for gate in circuit.gates:
-                self.state = apply_gate_backend(
-                    self.state, gate, self.num_qubits, self.backend
-                )
-        elif self.engine == "legacy":
+        if self.engine == "legacy":
             for gate in circuit.gates:
                 self.state = _apply_gate_legacy(self.state, gate, self.num_qubits)
         elif self.engine == "fused":
@@ -535,7 +413,7 @@ class StatevectorSimulator:
         return self.state
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.backend.to_numpy(self.state)) ** 2
+        return np.abs(self.state) ** 2
 
     def sample(self, shots: int, *, norm_tolerance: float = 1e-8) -> np.ndarray:
         """Sample ``shots`` basis-state indices from the current state.
@@ -544,9 +422,7 @@ class StatevectorSimulator:
         ``norm_tolerance`` from 1 raises instead of being silently
         renormalized (see :func:`checked_probabilities`).
         """
-        probs = checked_probabilities(
-            self.backend.to_numpy(self.state), norm_tolerance=norm_tolerance
-        )
+        probs = checked_probabilities(self.state, norm_tolerance=norm_tolerance)
         return self._rng.choice(len(probs), size=shots, p=probs)
 
     def sample_counts(self, shots: int) -> dict[int, int]:

@@ -32,14 +32,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Iterable
 
-import numpy as np  # lint: ignore[RR006] - host-side sampling and reductions
+import numpy as np
 
 from repro.circuit import Circuit
 from repro.core.seeding import seeded_rng, spawn_seeds
 from repro.pauli import PauliString, PauliSum
-from repro.sim.backend import ArrayBackend, get_array_backend
 from repro.sim.batched import BatchedStatevector
 from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel, depolarizing_paulis
@@ -104,12 +103,7 @@ def channel_paulis(num_qubits: int, qubits: tuple[int, ...]) -> list[PauliString
     return cached
 
 
-def _apply_pauli_rows(
-    states: Any,
-    pauli: PauliString,
-    rows: np.ndarray,
-    backend: ArrayBackend | None = None,
-) -> None:
+def _apply_pauli_rows(states: np.ndarray, pauli: PauliString, rows: np.ndarray) -> None:
     """Apply ``P`` to the selected rows of a ``(K, 2**n)`` stack.
 
     Same signed-permutation identity as
@@ -117,14 +111,10 @@ def _apply_pauli_rows(
     that actually drew this error (at realistic error rates almost all
     rows draw none, so the common case touches a handful of rows).
     """
-    backend = get_array_backend(backend)
     n = pauli.num_qubits
-    sub = states[rows]
-    sub = sub * backend.asarray(
-        cached_parity_signs(n, pauli.z), dtype=backend.float_dtype
-    )
+    sub = states[rows] * cached_parity_signs(n, pauli.z)
     if pauli.x:
-        sub = backend.take(sub, cached_xor_indices(n, pauli.x), axis=-1)
+        sub = np.take(sub, cached_xor_indices(n, pauli.x), axis=-1)
     phase = (1j) ** (pauli.y_count() % 4)
     if phase != 1.0:
         sub = sub * phase
@@ -150,15 +140,13 @@ class TrajectorySimulator:
         trajectories: int = DEFAULT_BLOCK_SIZE,
         seed: int | None = None,
         rng: np.random.Generator | None = None,
-        backend: str | ArrayBackend | None = None,
     ) -> None:
         if trajectories < 1:
             raise ValueError("trajectories must be at least 1")
         self.num_qubits = num_qubits
         self.noise = noise or DepolarizingNoiseModel(two_qubit_error=0.0)
         self.trajectories = trajectories
-        self.backend = get_array_backend(backend)
-        self.batch = BatchedStatevector(num_qubits, trajectories, backend=self.backend)
+        self.batch = BatchedStatevector(num_qubits, trajectories)
         self._rng = rng if rng is not None else seeded_rng(seed)
         #: Total error Paulis injected across all trajectories by ``run``
         #: calls since construction/reset (diagnostic: expected value is
@@ -175,10 +163,7 @@ class TrajectorySimulator:
         if state is None:
             self.batch.reset()
         else:
-            self.backend.copyto(
-                self.batch.states,
-                self.backend.asarray(state, dtype=self.backend.complex_dtype),
-            )
+            self.batch.states[...] = state
         self.error_events = 0
         return self
 
@@ -212,12 +197,7 @@ class TrajectorySimulator:
         choices = self._rng.integers(len(paulis), size=hits.size)
         self.error_events += int(hits.size)
         for index in np.unique(choices):
-            _apply_pauli_rows(
-                self.batch.states,
-                paulis[index],
-                hits[choices == index],
-                self.backend,
-            )
+            _apply_pauli_rows(self.batch.states, paulis[index], hits[choices == index])
 
     # ------------------------------------------------------------------
     # Readout
@@ -246,13 +226,10 @@ class TrajectoryEstimate:
         return abs(self.value - reference) <= sigmas * self.standard_error
 
 
-def _as_engine(
-    observable: ExpectationEngine | PauliSum,
-    backend: "str | ArrayBackend | None" = None,
-) -> ExpectationEngine:
+def _as_engine(observable: ExpectationEngine | PauliSum) -> ExpectationEngine:
     if isinstance(observable, ExpectationEngine):
         return observable
-    return ExpectationEngine(observable, backend=backend)
+    return ExpectationEngine(observable)
 
 
 def _block_plan(trajectories: int, block_size: int) -> list[int]:
@@ -288,7 +265,6 @@ def _run_one_block(
     block: int,
     seed: np.random.SeedSequence,
     initial_state: np.ndarray | None,
-    backend: "str | ArrayBackend | None" = None,
 ) -> tuple[np.ndarray, int]:
     """Evolve one trajectory block; returns (values, error events)."""
     simulator = TrajectorySimulator(
@@ -296,7 +272,6 @@ def _run_one_block(
         noise,
         trajectories=block,
         rng=np.random.default_rng(seed),
-        backend=backend,
     )
     if initial_state is not None:
         simulator.reset(initial_state)
@@ -342,7 +317,6 @@ def _run_blocks(
     *,
     executor: str = "serial",
     workers: "int | str | None" = None,
-    backend: "str | ArrayBackend | None" = None,
 ) -> tuple[np.ndarray, int]:
     """Stream trajectories through cache-sized blocks; values + events.
 
@@ -353,14 +327,6 @@ def _run_blocks(
     ``(seed, trajectories, block_size)``.
     """
     check_executor(executor)
-    resolved = get_array_backend(backend)
-    if executor == "process" and resolved.name != "numpy":
-        # Checked before the small-workload serial fallback so the
-        # combination fails the same way regardless of block count.
-        raise ValueError(
-            "executor='process' shares tables through host shared "
-            f"memory and requires the numpy backend, not {resolved.name!r}"
-        )
     sizes = _block_plan(trajectories, block_size)
     seeds = _spawn_block_seeds(seed, len(sizes))
     count = resolve_workers(workers, len(sizes))
@@ -377,9 +343,7 @@ def _run_blocks(
 
     if executor == "serial" or count == 1 or len(sizes) == 1:
         _store(
-            _run_one_block(
-                circuit, engine, noise, block, block_seed, initial_state, resolved
-            )
+            _run_one_block(circuit, engine, noise, block, block_seed, initial_state)
             for block, block_seed in zip(sizes, seeds)
         )
     elif executor == "thread":
@@ -387,8 +351,7 @@ def _run_blocks(
             _store(
                 pool.map(
                     lambda pair: _run_one_block(
-                        circuit, engine, noise, pair[0], pair[1],
-                        initial_state, resolved,
+                        circuit, engine, noise, pair[0], pair[1], initial_state
                     ),
                     zip(sizes, seeds),
                 )
@@ -429,7 +392,6 @@ def trajectory_expectations(
     initial_state: np.ndarray | None = None,
     executor: str = "serial",
     workers: "int | str | None" = None,
-    backend: "str | ArrayBackend | None" = None,
 ) -> np.ndarray:
     """Per-trajectory expectations of a noisy circuit, shape ``(K,)``.
 
@@ -440,12 +402,11 @@ def trajectory_expectations(
     -- and bit-identical across ``executor="serial" | "thread" |
     "process"`` and any ``workers`` count.  ``executor="process"``
     shares the observable's grouped diagonals with the workers through
-    :class:`repro.core.shm.SharedSlabs` (numpy backend only).
+    :class:`repro.core.shm.SharedSlabs`.
     """
     values, _ = _run_blocks(
-        circuit, _as_engine(observable, backend), noise, trajectories, seed,
-        block_size, initial_state,
-        executor=executor, workers=workers, backend=backend,
+        circuit, _as_engine(observable), noise, trajectories, seed,
+        block_size, initial_state, executor=executor, workers=workers,
     )
     return values
 
@@ -461,7 +422,6 @@ def trajectory_estimate(
     initial_state: np.ndarray | None = None,
     executor: str = "serial",
     workers: "int | str | None" = None,
-    backend: "str | ArrayBackend | None" = None,
 ) -> TrajectoryEstimate:
     """Trajectory-averaged expectation with its standard error.
 
@@ -469,14 +429,13 @@ def trajectory_estimate(
     (see the module docstring); ``standard_error`` quantifies the
     remaining Monte-Carlo noise, so DM-vs-trajectory agreement checks
     should compare within a few standard errors.  See
-    :func:`trajectory_expectations` for the ``executor``/``workers``/
-    ``backend`` scale-out knobs (results are bit-identical across
-    executors for a fixed seed).
+    :func:`trajectory_expectations` for the ``executor``/``workers``
+    scale-out knobs (results are bit-identical across executors for a
+    fixed seed).
     """
     values, events = _run_blocks(
-        circuit, _as_engine(observable, backend), noise, trajectories, seed,
-        block_size, initial_state,
-        executor=executor, workers=workers, backend=backend,
+        circuit, _as_engine(observable), noise, trajectories, seed,
+        block_size, initial_state, executor=executor, workers=workers,
     )
     if trajectories > 1:
         standard_error = float(values.std(ddof=1) / math.sqrt(trajectories))

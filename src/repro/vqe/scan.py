@@ -27,7 +27,7 @@ from repro.chem.hamiltonian import build_molecule_hamiltonian
 from repro.core.compression import compress_ansatz, random_ansatz
 from repro.core.ir import PauliProgram
 from repro.pauli import PauliSum
-from repro.sim.exact import ground_state_energy
+from repro.sim.exact import molecule_ground_state_energy
 from repro.sim.noise import DepolarizingNoiseModel
 from repro.sim.trajectory import check_executor, resolve_workers
 from repro.vqe.runner import VQE
@@ -103,13 +103,6 @@ def sweep_energies(
     ).values(np.asarray(parameter_sets, dtype=float))
 
 
-#: Per-process memo of exact ground-state energies keyed by
-#: (molecule, bond length): one scan evaluates each bond point under
-#: several configurations, and the exact diagonalization is shared
-#: (process-pool workers each warm their own copy as tasks arrive).
-_EXACT_CACHE: dict[tuple[str, float | None], float] = {}
-
-
 def _scan_point_task(task: tuple[str, float, str, dict[str, Any]]) -> ScanPoint:
     """Build and solve one (molecule, bond length, configuration) point.
 
@@ -121,11 +114,7 @@ def _scan_point_task(task: tuple[str, float, str, dict[str, Any]]) -> ScanPoint:
     molecule, bond_length, configuration, options = task
     problem = build_molecule_hamiltonian(molecule, bond_length)
     full_program = build_uccsd_program(problem).program
-    key = (molecule, bond_length)
-    if key not in _EXACT_CACHE:
-        # lint: ignore[RR101] - idempotent memo: racing writers store equal values
-        _EXACT_CACHE[key] = ground_state_energy(problem.hamiltonian)
-    exact = _EXACT_CACHE[key]
+    exact = molecule_ground_state_energy(problem)
     program, label = _configure_program(
         full_program, problem.hamiltonian, configuration, options["seed"]
     )
@@ -136,7 +125,6 @@ def _scan_point_task(task: tuple[str, float, str, dict[str, Any]]) -> ScanPoint:
         engine=options["engine"],
         fusion=options["fusion"],
         cache=options["cache"],
-        array_backend=options["array_backend"],
         gradient=options["gradient"],
         noise=options["noise"],
         trajectories=options["trajectories"],
@@ -164,7 +152,6 @@ def bond_scan(
     engine: str = "inplace",
     fusion: str = "2q",
     cache=True,
-    array_backend: str | None = None,
     gradient: str | None = None,
     noise: DepolarizingNoiseModel | None = None,
     trajectories: int = 256,
@@ -186,9 +173,7 @@ def bond_scan(
     over a thread or process pool; every point is an independent
     module-level task, so results are identical point for point across
     ``executor="serial" | "thread" | "process"`` and any worker count
-    (each VQE run is deterministic given its knobs).  ``array_backend``
-    selects the tensor library for the energy evaluations
-    (:mod:`repro.sim.backend`).
+    (each VQE run is deterministic given its knobs).
     """
     check_executor(executor)
     options: dict[str, Any] = {
@@ -196,7 +181,6 @@ def bond_scan(
         "engine": engine,
         "fusion": fusion,
         "cache": cache,
-        "array_backend": array_backend,
         "gradient": gradient,
         "noise": noise,
         "trajectories": trajectories,

@@ -428,20 +428,6 @@ def test_lint_rr005_registry_access_outside_home(lint):
     assert lint_codes(lint, "_DEVICES = {}\n", "src/repro/hardware/registry.py") == []
 
 
-def test_lint_rr006_numpy_import_in_sim_scoped(lint):
-    bad = "import numpy as np\n"
-    assert lint_codes(lint, bad, "src/repro/sim/x.py") == ["RR006"]
-    assert lint_codes(lint, "from numpy import linalg\n", "src/repro/sim/x.py") == [
-        "RR006"
-    ]
-    assert lint_codes(lint, "import numpy.linalg\n", "src/repro/sim/x.py") == ["RR006"]
-    # out of scope: the dispatch home, and modules outside sim/
-    assert lint_codes(lint, bad, "src/repro/sim/backend.py") == []
-    assert lint_codes(lint, bad, "src/repro/vqe/x.py") == []
-    pragma = "import numpy as np  # lint: ignore[RR006] - host-side tables\n"
-    assert lint_codes(lint, pragma, "src/repro/sim/x.py") == []
-
-
 def test_lint_pragma_suppression(lint):
     src = "def f(cache):\n    if cache:  # lint: ignore[RR001]\n        pass\n"
     assert lint_codes(lint, src) == []

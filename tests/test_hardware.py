@@ -1,8 +1,14 @@
 """Tests for coupling graphs, X-Tree construction, grids and yield model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.hardware import (
     CollisionModel,
     CouplingGraph,
@@ -17,6 +23,20 @@ from repro.hardware.yield_model import yield_sweep
 
 
 class TestCouplingGraph:
+    def test_pipeline_import_does_not_load_networkx(self):
+        # The coupling graph is self-contained; networkx is no dependency.
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, repro.core.pipeline; print('networkx' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
+
     def test_duplicate_edges_normalized(self):
         g = CouplingGraph(3, [(0, 1), (1, 0), (1, 2)])
         assert g.num_edges == 2

@@ -32,7 +32,6 @@ from repro.core.passes import LAYOUT_SCHEMES, BuildAnsatz, BuildProblem, Compres
 from repro.hardware.coupling import CouplingGraph
 from repro.hardware.registry import get_device, list_devices, register_device
 from repro.hardware.xtree import xtree
-from repro.sim.backend import available_array_backends
 from repro.sim.statevector import ENGINES
 from repro.vqe.runner import VQE, VQEResult, available_backends
 
@@ -41,7 +40,6 @@ CLOSED_SETS = {
     "engine": ENGINES,
     "fusion": FUSION_LEVELS,
     "layout": LAYOUT_SCHEMES,
-    "array_backend": available_array_backends(),
 }
 
 
@@ -358,10 +356,11 @@ class TestResultSerialization:
     def test_config_round_trip(self):
         config = PipelineConfig(molecule="NaH", ratio=0.7, compiler="sabre", seed=3)
         assert PipelineConfig.from_dict(config.to_dict()) == config
-        # Unknown keys from newer schema versions are ignored.
-        assert (
-            PipelineConfig.from_dict({**config.to_dict(), "future_field": 1}) == config
-        )
+        # Unknown keys are ignored: fields from newer schema versions, and
+        # the retired ``array_backend`` field of batches saved before it
+        # was removed.
+        for extra in ({"future_field": 1}, {"array_backend": "numpy"}):
+            assert PipelineConfig.from_dict({**config.to_dict(), **extra}) == config
 
 
 class TestConfigValidation:

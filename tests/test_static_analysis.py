@@ -35,7 +35,6 @@ from repro.analysis.static.rules import (
     rr103_slab_lifecycle,
     rr111_nondeterministic_sources,
     rr112_unseeded_default_rng,
-    rr121_backend_taint,
 )
 from repro.core.seeding import seed_sequence, seeded_rng, spawn_seeds
 
@@ -269,43 +268,6 @@ def test_rr112_accepts_proven_seed_sources():
     assert rr112_unseeded_default_rng(project) == []
 
 
-def test_rr121_host_numpy_on_backend_array():
-    project = build_project_model({
-        "src/repro/sim/fake_kernel.py": (
-            "import numpy as np\n"                              # 1
-            "from repro.sim.backend import get_array_backend\n"  # 2
-            "\n"                                                # 3
-            "def bad(values, backend=None):\n"                  # 4
-            "    backend = get_array_backend(backend)\n"        # 5
-            "    device = backend.asarray(values)\n"            # 6
-            "    return np.sum(device)\n"                       # 7
-        ),
-    })
-    finding = _one_finding(rr121_backend_taint(project), "RR121")
-    assert (finding.rel, finding.line) == ("src/repro/sim/fake_kernel.py", 7)
-    assert finding.message == (
-        "host numpy call np.sum(...) consumes a backend-produced array: "
-        "on CuPy/torch backends this value may live on an accelerator; "
-        "route the operation through an ArrayBackend hook or bridge "
-        "explicitly with backend.to_numpy(...)"
-    )
-
-
-def test_rr121_to_numpy_bridge_is_sanctioned():
-    project = build_project_model({
-        "src/repro/sim/fake_bridge.py": (
-            "import numpy as np\n"
-            "from repro.sim.backend import get_array_backend\n"
-            "\n"
-            "def good(values, backend=None):\n"
-            "    backend = get_array_backend(backend)\n"
-            "    device = backend.asarray(values)\n"
-            "    return np.sum(backend.to_numpy(device))\n"
-        ),
-    })
-    assert rr121_backend_taint(project) == []
-
-
 # ----------------------------------------------------------------------
 # Suppression mechanics
 # ----------------------------------------------------------------------
@@ -443,13 +405,12 @@ def test_project_model_dispatches_through_check_registry():
     report = run_checks(project)
     assert "determinism" in report.checks_run
     assert "concurrency-safety" in report.checks_run
-    assert "backend-purity" in report.checks_run
     assert not report.ok
     assert any("RR111" in d.message for d in report.diagnostics)
 
 
 @pytest.mark.parametrize(
-    "code", ["RR101", "RR102", "RR103", "RR111", "RR112", "RR121"]
+    "code", ["RR101", "RR102", "RR103", "RR111", "RR112"]
 )
 def test_live_tree_is_clean_per_rule(live_project, code):
     findings = [f for f in analyze(live_project) if f.code == code]

@@ -24,18 +24,12 @@ RR004  bare ``assert`` used for input validation in library code.
 RR005  direct access to a private registry (``_DEVICES``, ``_COMPILERS``,
        ``_COMPILE_CACHE``) outside its home module.  Bypassing the
        accessor skips normalization and lazy registration.
-RR006  direct ``import numpy`` in a ``sim/`` hot-path module outside
-       ``sim/backend.py``.  Simulation math must route through the
-       :class:`~repro.sim.backend.ArrayBackend` dispatch layer so
-       CuPy/torch backends stay drop-in; host-side code that is numpy
-       by design (index tables, in-place kernels) carries a pragma
-       naming the reason.
 RR007  stale suppression pragma: a ``# lint: ignore[...]`` whose code
        never suppressed anything in this run.  Reported as a warning;
        does not gate the build.
 
-The project-level RR1xx analyzers (concurrency safety, determinism,
-backend purity -- see ``repro.analysis.static`` and docs/analysis.md)
+The project-level RR1xx analyzers (concurrency safety and determinism
+-- see ``repro.analysis.static`` and docs/analysis.md)
 also run through this tool whenever the linted paths overlap
 ``src/repro``, so one invocation covers both rule families.
 
@@ -94,12 +88,6 @@ RR002_EXEMPT_FUNCTION = "checked_probabilities"
 #: them behind a version gate (RR003).
 NUMPY2_ONLY_ATTRS = {"bitwise_count"}
 RR003_HOME = "src/repro/core/bits.py"
-
-#: Modules under this prefix must route array math through the
-#: ArrayBackend dispatch layer (RR006); ``RR006_HOME`` is the one
-#: sanctioned home of direct numpy imports.
-RR006_SCOPE = "src/repro/sim/"
-RR006_HOME = "src/repro/sim/backend.py"
 
 #: Private registries and their home modules (RR005).
 PRIVATE_REGISTRIES = {
@@ -295,34 +283,9 @@ class _Visitor(ast.NodeVisitor):
     def visit_Name(self, node: ast.Name) -> None:
         self._check_registry_name(node.id, node)
 
-    # -- RR006: direct numpy import in sim/ hot paths --------------------
-    def _in_rr006_scope(self) -> bool:
-        return self.rel.startswith(RR006_SCOPE) and self.rel != RR006_HOME
-
-    def _add_rr006(self, node: ast.AST) -> None:
-        self._add(
-            "RR006",
-            node,
-            "direct numpy import in a sim/ hot path: array math must go "
-            "through the ArrayBackend dispatch layer (repro.sim.backend) "
-            "so CuPy/torch backends stay drop-in; host-side-by-design "
-            "code takes a '# lint: ignore[RR006] - <reason>' pragma",
-        )
-
-    def visit_Import(self, node: ast.Import) -> None:
-        if self._in_rr006_scope():
-            for alias in node.names:
-                if alias.name == "numpy" or alias.name.startswith("numpy."):
-                    self._add_rr006(node)
-                    break
-        self.generic_visit(node)
-
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         for alias in node.names:
             self._check_registry_name(alias.name, node)
-        if self._in_rr006_scope() and node.module is not None:
-            if node.module == "numpy" or node.module.startswith("numpy."):
-                self._add_rr006(node)
         self.generic_visit(node)
 
 
@@ -392,7 +355,7 @@ def run_lint(
 ) -> tuple[list[Finding], int]:
     """Both lint passes over ``paths``; returns (findings, files linted).
 
-    Per-file rules (RR001-RR006) run on every requested file.  When any
+    Per-file rules (RR001-RR005) run on every requested file.  When any
     requested file sits under ``src/repro``, the whole-program RR1xx
     analyzers run over the full package model and their findings are
     filtered down to the requested files.  RR007 (stale pragma) is
